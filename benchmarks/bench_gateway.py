@@ -7,6 +7,13 @@ loopback sockets and measures the frontier per SLO class:
 * **serial phase** — one blocking client, one synchronous round trip at
   a time (``deadline_ms=0``: flush immediately).  This is the remote
   equivalent of per-event inference: every request rides a batch of 1.
+* **per-class serial legs** — one blocking client per SLO class
+  (premium, standard, batch), each sending *without* a ``deadline_ms``
+  override, so the class's own SLO applies.  The gateway dispatches the
+  moment a backend slot is free, so a lone request never lingers toward
+  its deadline: each leg's p50 round trip must stay within 1.5x of an
+  in-process ``predict_one`` of the same sample, timed alternately
+  with the round trips so host-speed drift hits both sides.
 * **concurrent phase** — 8 async TCP clients, each pipelining its
   requests (several in flight per connection).  The in-flight requests
   coalesce in the gateway's flush loop into depth-triggered
@@ -24,10 +31,12 @@ loopback sockets and measures the frontier per SLO class:
   (oldest first), and the premium client's observed p95 must stay
   inside its 50 ms SLO while the flood rages.
 
-Absolute-latency assertions are gated behind ``BENCH_GATEWAY_STRICT=0``
-for shared CI runners (same convention as ``bench_slo.py``); ratios,
-fidelity, and shed confinement are asserted unconditionally.  Results
-land in ``benchmarks/results/bench_gateway.json`` (a CI artifact).
+Wall-clock bars (TLS overhead, premium p95, the per-class serial p50
+ratios) are asserted only in strict mode — ``BENCH_GATEWAY_STRICT=1``,
+the default; shared CI runners set ``0`` (same convention as
+``bench_slo.py``).  The throughput ratio, fidelity, and shed confinement
+are asserted unconditionally.  Results land in
+``benchmarks/results/bench_gateway.json`` (a CI artifact).
 """
 
 import asyncio
@@ -78,6 +87,17 @@ NUM_FLOODERS = 4
 PREMIUM_EVENTS = 36
 #: Acceptance bar: TLS may add at most this fraction to the serial p95.
 MAX_TLS_P95_OVERHEAD = 0.15
+#: Per-class serial legs: round trips per class, and the bar on each
+#: leg's p50 over in-process ``predict_one`` (strict mode only).
+CLASS_EVENTS = 32
+MAX_CLASS_P50_RATIO = 1.5
+#: One probe tenant per stock SLO class ("serial-standard" is unassigned
+#: and falls to the directory's default class).
+CLASS_TENANTS = {
+    "premium": "serial-premium",
+    "standard": "serial-standard",
+    "batch": "serial-batch",
+}
 
 
 def _samples(count: int, seed: int = 3) -> np.ndarray:
@@ -106,6 +126,8 @@ def _server(system, ssl_context=None) -> GatewayServer:
     tenants = TenantDirectory(
         assignments={
             "premium-panel": "premium",
+            "serial-premium": "premium",
+            "serial-batch": "batch",
             **{f"backfill-{i}": "batch" for i in range(NUM_FLOODERS)},
         },
     )
@@ -142,6 +164,41 @@ def _serial_phase(
         "eps": SERIAL_EVENTS / elapsed,
         "rtt_p95_ms": _p95_ms(latencies),
     }
+
+
+def _class_legs(host: str, port: int, system, samples: np.ndarray) -> dict:
+    """Serial round trips per SLO class against in-process predict_one.
+
+    Each wire round trip is paired with a ``predict_one`` of the same
+    quantised sample, timed just before it, so both sides of a leg's
+    ratio see the same host speed.
+    """
+    reference = InferenceEngine(system)
+    legs = {}
+    for slo_class, tenant in CLASS_TENANTS.items():
+        wire_s: list[float] = []
+        local_s: list[float] = []
+        with GatewayClient(host, port, tenant=tenant) as client:
+            assert client.slo_class == slo_class, (tenant, client.slo_class)
+            for i in range(CLASS_EVENTS):
+                sample = samples[i % len(samples)]
+                t0 = time.perf_counter()
+                reference.predict_one(quantise_sample(sample))
+                local_s.append(time.perf_counter() - t0)
+                t0 = time.perf_counter()
+                client.classify(sample)  # no override: the class SLO applies
+                wire_s.append(time.perf_counter() - t0)
+        wire_p50 = percentile(wire_s, 50) * 1e3
+        local_p50 = percentile(local_s, 50) * 1e3
+        legs[slo_class] = {
+            "tenant": tenant,
+            "slo_ms": client.slo_ms,
+            "events": CLASS_EVENTS,
+            "rtt_p50_ms": wire_p50,
+            "predict_one_p50_ms": local_p50,
+            "p50_ratio": wire_p50 / local_p50,
+        }
+    return {"max_p50_ratio": MAX_CLASS_P50_RATIO, "classes": legs}
 
 
 def _concurrent_phase(host: str, port: int, samples: np.ndarray) -> dict:
@@ -317,6 +374,7 @@ def _experiment() -> dict:
             (_serial_phase(host, port, samples) for _ in range(2)),
             key=lambda phase: phase["eps"],
         )
+        class_legs = _class_legs(host, port, system, samples)
         concurrent = max(
             (_concurrent_phase(host, port, samples) for _ in range(3)),
             key=lambda phase: phase["eps"],
@@ -329,6 +387,7 @@ def _experiment() -> dict:
     return {
         "slo_ms": SLO_MS,
         "serial": serial,
+        "class_legs": class_legs,
         "concurrent": concurrent,
         "speedup": concurrent["eps"] / serial["eps"],
         "fidelity": fidelity,
@@ -357,6 +416,15 @@ def _report(results: dict) -> list[str]:
         format_row(("metric", "value"), widths),
         format_row(("serial (batch=1) eps", f"{serial['eps']:.1f}"), widths),
         format_row(("serial rtt p95", f"{serial['rtt_p95_ms']:.1f} ms"), widths),
+        *(
+            format_row(
+                (f"{name} serial p50 / predict_one",
+                 f"{leg['rtt_p50_ms']:.1f}/{leg['predict_one_p50_ms']:.1f} ms "
+                 f"({leg['p50_ratio']:.2f}x)"),
+                widths,
+            )
+            for name, leg in results["class_legs"]["classes"].items()
+        ),
         format_row(("concurrent eps", f"{concurrent['eps']:.1f}"), widths),
         format_row(("speedup", f"{results['speedup']:.2f}x"), widths),
         format_row(("wire fidelity", "byte-identical"), widths),
@@ -412,6 +480,12 @@ def _check(results: dict) -> None:
             f"premium p95 {overload['premium_p95_ms']:.1f} ms broke the "
             f"{SLO_MS:.0f} ms SLO under the batch flood"
         )
+        for name, leg in results["class_legs"]["classes"].items():
+            assert leg["p50_ratio"] <= MAX_CLASS_P50_RATIO, (
+                f"{name}-class serial p50 {leg['rtt_p50_ms']:.1f} ms is "
+                f"{leg['p50_ratio']:.2f}x in-process predict_one "
+                f"(bar {MAX_CLASS_P50_RATIO}x)"
+            )
 
 
 @pytest.mark.benchmark(group="serving")

@@ -708,6 +708,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         summary["batch_limit"] = snap["batch_limit"]
         summary["deadline_flushes"] = snap["deadline_flushes"]
         summary["depth_flushes"] = snap["depth_flushes"]
+        summary["idle_flushes"] = snap["idle_flushes"]
         p95 = snap["queue_p95_ms"]
         summary["queue_p95_ms"] = round(p95, 3) if p95 is not None else None
     print(json.dumps(summary, indent=2))

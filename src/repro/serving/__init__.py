@@ -8,9 +8,11 @@ Four pieces, layered under the runtimes in :mod:`repro.core`:
   per flush; byte-identical to the per-event path, with a synchronous
   ``predict_one`` for latency-critical callers, and hot model reload via
   ``swap_system`` (version-tagged results, no dropped tickets).
-* :class:`BatchScheduler` — deadline-aware batching policy: flushes by
+* :class:`BatchScheduler` — deadline-aware batching policy: flushes on
+  a free backend slot (the gateway's work-conserving path), or by
   trading queue depth against the oldest request's remaining SLO budget
-  and adapts the batch limit online from observed per-batch latency
+  (in-process accumulation), and adapts the batch limit online from
+  observed per-batch latency
   (submit-to-landing on the engine's backend, executor queueing
   included).
 * :mod:`repro.serving.backends` — pluggable execution: inline (default),

@@ -23,7 +23,7 @@ bit-for-bit); with a thread or process pool, batches are *airborne*
 between dispatch and collection and the caller (e.g. the gateway's
 event loop) overlaps its own work with the executor's.
 
-Batches are released by one of three triggers:
+Batches are released by one of four triggers:
 
 * **depth** — the queue reached the effective batch limit (a fixed
   ``max_batch_size``, or the adaptive limit of an attached
@@ -34,6 +34,9 @@ Batches are released by one of three triggers:
   miss the earliest pending deadline (a deadline already in the past is
   clamped to "due now": it forces an immediate dispatch instead of
   feeding negative slack into the scheduler);
+* **idle slot** — ``poll(dispatch_idle=True)`` (the gateway's pump)
+  dispatches whatever is pending while a backend slot is free, so the
+  backend never idles while work waits;
 * **explicit** — :meth:`flush` (the hub's end-of-round / end-of-stream
   paths), which also blocks until every airborne batch has landed.
 
@@ -493,6 +496,11 @@ class InferenceEngine:
         return len(self._in_flight) + live_hedges
 
     @property
+    def slot_free(self) -> bool:
+        """True while the backend has a slot no submission occupies."""
+        return self.backend.slots > self.num_airborne
+
+    @property
     def hedging(self) -> bool:
         """True when a hedge policy (fixed or auto) is configured."""
         return self._hedge_auto or self._hedge_s is not None
@@ -611,19 +619,25 @@ class InferenceEngine:
                 earliest = deadline
         return None if earliest is None else earliest - now
 
-    def _should_flush(self, now: float) -> bool:
+    def _should_flush(self, now: float, *, idle_slot: bool = False) -> bool:
         depth = len(self._pending)
         if depth == 0:
             return False
         if depth >= self.max_batch_size:  # hard cap, scheduler or not
             return True
         if self.scheduler is not None:
-            return self.scheduler.should_flush(depth, slack_s=self._earliest_slack(now))
+            if self.scheduler.should_flush(depth, slack_s=self._earliest_slack(now)):
+                return True
+            if idle_slot:
+                self.scheduler.note_idle_flush()
+            return idle_slot
+        if idle_slot:
+            return True
         # No scheduler: still honour explicit per-request deadlines.
         slack = self._earliest_slack(now)
         return slack is not None and slack <= 0.0
 
-    def poll(self) -> list[Ticket]:
+    def poll(self, *, dispatch_idle: bool = False) -> list[Ticket]:
         """Collect landed batches; dispatch if the queue must run *now*.
 
         The serving loop calls this once per frame round (the gateway
@@ -631,6 +645,14 @@ class InferenceEngine:
         tickets, and the depth/deadline triggers release a new dispatch
         — without ever blocking on the backend.  Errors are routed to
         the failed tickets, never raised here.
+
+        ``dispatch_idle`` makes the poll work-conserving: if a backend
+        slot is free (live hedges count as occupying one), everything
+        pending is dispatched now, counted as an idle-slot flush.  The
+        gateway passes it — its admission queue is where batches grow
+        while every slot is busy.  In-process callers leave it off: the
+        inline backend's single slot always looks free, and a hub with a
+        scheduler relies on accumulating across rounds.
         """
         if self._in_flush:
             return []
@@ -641,7 +663,8 @@ class InferenceEngine:
                 _, landed = self._collect(block=False)
                 delivered.extend(landed)
                 self._maybe_hedge(self._clock())
-            if self._should_flush(self._clock()):
+            idle_slot = dispatch_idle and self.slot_free
+            if self._should_flush(self._clock(), idle_slot=idle_slot):
                 self.dispatch()
                 _, landed = self._collect(block=False)
                 delivered.extend(landed)

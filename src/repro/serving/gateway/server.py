@@ -17,11 +17,15 @@ goes wherever the engine's backend puts it:
   admissions, on airborne-batch completions (the engine's
   ``on_batch_complete`` hook kicks the loop threadsafely from whatever
   thread the backend lands a batch in), or on a short poll tick for
-  deadline checks; it feeds queued requests into the engine in weighted
+  hedge checks; it feeds queued requests into the engine in weighted
   priority order up to the scheduler's adaptive batch limit — stopping
   while every backend slot is busy, so overload keeps pooling (and
-  shedding) in the admission queue — and lets ``engine.poll`` dispatch
-  on the depth/deadline triggers and collect whatever has landed;
+  shedding) in the admission queue — and lets ``engine.poll`` collect
+  whatever has landed and dispatch the moment a backend slot is free;
+* batching is **work-conserving**: the backend never idles while work
+  waits, so a lone request is dispatched at once instead of lingering
+  toward its deadline, and batches grow (in the admission queue) only
+  while every slot is busy;
 * with a thread or process backend, a dispatched batch is **airborne**
   while the loop goes straight back to reading sockets: exec overlaps
   socket IO instead of stalling it, which is where the multi-worker
@@ -304,14 +308,10 @@ class GatewayServer:
     queue_limit:
         Admission-room bound; beyond it the shedding policy engages.
     poll_interval_s:
-        Flush-loop tick when idle: the precision of deadline-forced
-        flushes (and a floor on added latency under sparse traffic).
-    max_linger_ms:
-        Deadline given to requests whose tenant class has no SLO (and
-        who sent none of their own).  Without one, a burst ending on a
-        partial batch of deadline-less ``batch``-class requests would
-        wait forever for company; with it, stragglers flush within a
-        bounded linger.
+        Flush-loop tick when nothing kicks it: the precision of hedge
+        placement and of deadline checks on batches still assembling.
+        Admissions and landings kick the loop directly, so the tick adds
+        no latency to a request that finds a backend slot free.
     max_outbox_frames:
         Per-connection cap on result frames queued for a client that is
         not reading them; at the cap the connection is dropped and its
@@ -377,7 +377,6 @@ class GatewayServer:
         slo_ms: float | None = 50.0,
         queue_limit: int = 256,
         poll_interval_s: float = 0.005,
-        max_linger_ms: float = 100.0,
         max_outbox_frames: int = 1024,
         handshake_timeout_s: float = 10.0,
         reload_hook: Callable[[], int] | None = None,
@@ -429,7 +428,6 @@ class GatewayServer:
             clock=self.engine.clock,
         )
         self.poll_interval_s = poll_interval_s
-        self.max_linger_ms = max_linger_ms
         self.max_outbox_frames = max_outbox_frames
         self.handshake_timeout_s = handshake_timeout_s
         self.reload_hook = reload_hook
@@ -577,26 +575,45 @@ class GatewayServer:
                 # now — the loop is already back to socket IO while the
                 # executor runs it, and the engine's completion hook
                 # kicks us the moment it lands.
-                await asyncio.sleep(0)
+                #
+                # The yield must outlast the reader tasks, not just the
+                # selector: each sleep(0) resumes this task ahead of the
+                # work queued behind it — read callbacks after the first
+                # (they wake the reader tasks), the readers' parsing and
+                # admission after the second — so the third resumes with
+                # the buffered frames admitted.  An inline batch blocks
+                # the loop while a burst arrives; a shorter yield would
+                # put part of it on the free slot as a partial batch and
+                # leave the rest unread behind it.
+                for _ in range(3):
+                    await asyncio.sleep(0)
 
     def _pump_once(self) -> bool:
-        """One batch cycle: feed up to the batch limit, let it release.
+        """One batch cycle: feed up to the batch limit, dispatch it.
 
-        Feeding stops at the adaptive batch limit — and stops entirely
-        while every backend slot is busy — so the *admission queue*
-        stays the place where overload pools (and sheds); the engine
-        holds at most one batch-in-assembly per free slot.  Returns
-        whether any work happened (the flush loop keeps pumping, with
-        yields in between, until it reports idle; idle-with-airborne
-        parks on the kick event until a completion lands).
+        Work-conserving: while a backend slot is free, whatever was fed
+        is dispatched at once (``engine.poll(dispatch_idle=True)``) — a
+        lone request never waits for company or for its deadline.
+        Feeding stops at the adaptive batch limit, and stops entirely
+        while every backend slot is busy, so the *admission queue* is
+        where batches grow, and where overload pools (and sheds), until
+        a landing frees a slot and kicks the loop.  Deadlines order that
+        queue; the scheduler's depth and deadline triggers still release
+        a batch first when they fire, and each release is counted under
+        the trigger that fired.  Returns whether any work happened (the
+        flush loop keeps pumping, with yields in between, until it
+        reports idle; idle-with-airborne parks on the kick event until a
+        completion lands).
         """
         engine = self.engine
-        landed = engine.poll()  # collect whatever the backend finished
+        # Collect whatever the backend finished; a freed slot takes
+        # anything left pending (e.g. behind a hedge that held the slot).
+        landed = engine.poll(dispatch_idle=True)
         budget = 0
-        # num_airborne counts hedge duplicates too: while a hedge borrows
-        # a slot, feeding pauses so the duplicate work displaces *queued*
+        # slot_free counts hedge duplicates too: while a hedge borrows a
+        # slot, feeding pauses so the duplicate work displaces *queued*
         # admission-room requests, never a premium batch mid-assembly.
-        if engine.backend.slots - engine.num_airborne > 0:
+        if engine.slot_free:
             budget = max(engine.batch_limit - engine.num_pending, 0)
         # Class-pure composition: one cycle drains one class, so a
         # premium batch never waits out batch-class rows sharing its
@@ -604,7 +621,7 @@ class GatewayServer:
         batch = self.admission.take_front_class(budget) if budget else []
         for request in batch:
             self._feed(request)
-        flushed = engine.poll() if batch else []
+        flushed = engine.poll(dispatch_idle=True) if batch else []
         return bool(batch) or bool(flushed) or bool(landed)
 
     def _feed(self, request: GatewayRequest) -> None:
@@ -788,8 +805,6 @@ class GatewayServer:
             return
         if deadline_ms is None:
             deadline_ms = tenant.slo_class.slo_ms
-        if deadline_ms is None:
-            deadline_ms = self.max_linger_ms
         request = GatewayRequest(
             connection=connection,
             tenant=tenant,

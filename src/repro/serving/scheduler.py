@@ -7,11 +7,18 @@ lone queued span could wait unboundedly for company.
 
 :class:`BatchScheduler` closes that gap.  It owns two decisions:
 
-* **when to flush** — trade queue depth against the oldest pending
-  request's remaining SLO budget: flush as soon as running the batch
-  *now* is predicted to just meet the earliest deadline, and otherwise
-  keep accumulating so spans closing near each other still ride one
-  vectorised forward pass;
+* **when to flush** — release the batch when it reaches the batch limit
+  (*depth*), when running it *now* is predicted to just meet the
+  earliest pending deadline (*deadline*), or — when the engine is polled
+  with a free backend slot — at once (*idle slot*, counted through
+  :meth:`note_idle_flush`).  The gateway polls that way, so it never
+  idles the backend while work waits: a lone request dispatches at once
+  and batches grow only while every slot is busy (the adaptive batching
+  of Clipper, Crankshaw et al., NSDI'17); deadlines there order and shed
+  work instead of delaying it.  Cross-round accumulation still applies
+  in-process — a :class:`~repro.serving.hub.StreamHub` with a scheduler:
+  between the depth and deadline triggers the batch keeps accumulating,
+  so spans closing near each other ride one vectorised forward pass;
 * **how large a batch to allow** — adapt the effective batch limit
   online from observed per-batch latency (an exponentially-weighted
   linear model ``latency ≈ overhead + per_sample · batch``), so the
@@ -28,7 +35,10 @@ buy throughput back).
 The scheduler is a pure policy object: it never touches the queue and
 has no threads.  The engine consults :meth:`should_flush` on every
 ``submit``/``poll`` and reports measurements back through
-:meth:`observe_batch` / :meth:`record_queue_latency`.
+:meth:`observe_batch` / :meth:`record_queue_latency`.  Every release is
+counted under the trigger that fired (``depth_flushes``,
+``deadline_flushes``, ``idle_flushes``); a batch the engine releases at
+its own hard ``max_batch_size`` cap counts as none of them.
 
 Backend honesty: with a pooled execution backend
 (:mod:`repro.serving.backends`), a batch's latency is no longer just its
@@ -74,6 +84,9 @@ class SchedulerStats:
 
     depth_flushes: int = 0
     deadline_flushes: int = 0
+    #: Batches released below the limit, ahead of any deadline, because
+    #: a backend slot was free (see :meth:`BatchScheduler.note_idle_flush`).
+    idle_flushes: int = 0
     observed_batches: int = 0
     #: Batches excluded from the latency model because a worker crash
     #: forced a redispatch (their wall time prices the crash recovery,
@@ -216,6 +229,10 @@ class BatchScheduler:
             "repro_scheduler_deadline_flushes_total",
             "Batches released to protect the earliest pending deadline",
         )
+        self._m_idle_flushes = metrics.counter(
+            "repro_scheduler_idle_flushes_total",
+            "Batches released at once because a backend slot was free",
+        )
         self._m_observed = metrics.counter(
             "repro_scheduler_observed_batches_total",
             "Batch latency observations fed to the EWMA model",
@@ -317,6 +334,15 @@ class BatchScheduler:
             self._m_deadline_flushes.inc()
             return True
         return False
+
+    def note_idle_flush(self) -> None:
+        """Count a batch released because a backend slot was free.
+
+        The engine calls this only after :meth:`should_flush` declined,
+        so every release is counted under exactly one reason.
+        """
+        self.stats.idle_flushes += 1
+        self._m_idle_flushes.inc()
 
     # ------------------------------------------------------------------
     def bind_backend(self, name: str, slots: int = 1) -> None:
@@ -508,6 +534,7 @@ class BatchScheduler:
             "margin_narrowed": self.stats.margin_narrowed,
             "depth_flushes": self.stats.depth_flushes,
             "deadline_flushes": self.stats.deadline_flushes,
+            "idle_flushes": self.stats.idle_flushes,
             "observed_batches": self.stats.observed_batches,
             "retried_batches": self.stats.retried_batches,
             "hedged_batches": self.stats.hedged_batches,
