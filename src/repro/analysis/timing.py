@@ -102,10 +102,12 @@ def profile_pipeline(system, recordings, *, num_points: int, runs: int = 20, see
 
     ``system`` is a fitted :class:`repro.core.GesturePrint`;
     ``recordings`` are raw :class:`GestureRecording` objects.  Each run
-    preprocesses one recording and pushes the cloud through both models.
+    preprocesses one recording and pushes the cloud through both models
+    the way :meth:`~repro.core.GesturePrint.predict` does: recognition
+    computes the set-abstraction geometry, and identification reuses it,
+    so ``identification_ms`` is the served marginal cost of identifying
+    the user on top of recognising the gesture.
     """
-    from repro.core.pipeline import IdentificationMode
-    from repro.core.trainer import predict_proba
     from repro.preprocessing.pipeline import normalize_cloud, preprocess_recording
 
     rng = np.random.default_rng(seed)
@@ -119,15 +121,9 @@ def profile_pipeline(system, recordings, *, num_points: int, runs: int = 20, see
                 continue
             sample = normalize_cloud(cloud, num_points, rng)[None, ...]
         with timer.time("recognition"):
-            gesture_probs = predict_proba(system.gesture_model, sample)
-        gesture = int(gesture_probs.argmax())
+            gesture_probs, geometry = system.recognize(sample)
         with timer.time("identification"):
-            if system.config.mode is IdentificationMode.SERIALIZED:
-                model = system.user_models.get(gesture)
-            else:
-                model = system.parallel_user_model
-            if model is not None:
-                predict_proba(model, sample)
+            system.identify(sample, gesture_probs.argmax(axis=1), geometry)
         done += 1
     return TimingReport(
         preprocessing_ms=timer.mean_ms("preprocessing"),

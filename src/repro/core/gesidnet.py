@@ -24,7 +24,21 @@ import numpy as np
 
 from repro.nn.layers import Dropout, Linear, ReLU
 from repro.nn.module import Module, Parameter, Sequential, as_compute
-from repro.nn.setabstraction import GlobalFeatureExtractor, MultiScaleSetAbstraction, ScaleSpec
+from repro.nn.setabstraction import (
+    GlobalFeatureExtractor,
+    Grouping,
+    MultiScaleSetAbstraction,
+    ScaleSpec,
+)
+
+#: The weight-free geometry of one batch: the SA1 grouping of the input
+#: coordinates and the SA2 grouping of SA1's centers.
+Geometry = tuple[Grouping, Grouping]
+
+
+def geometry_rows(geometry: Geometry, index) -> Geometry:
+    """The geometry of the batch rows selected by ``index``."""
+    return (geometry[0].rows(index), geometry[1].rows(index))
 
 
 @dataclass(frozen=True)
@@ -191,6 +205,10 @@ class GesIDNet(Module):
     Input: ``(batch, num_points, 5)`` point arrays (xyz, doppler,
     intensity) from :func:`repro.preprocessing.pipeline.normalize_cloud`.
     ``forward`` returns ``(primary_logits, auxiliary_logits)``.
+
+    :meth:`geometry` depends only on the input coordinates and the
+    network config, so every GesIDNet built from one config can run on
+    the same precomputed geometry (``forward(points, geometry)``).
     """
 
     def __init__(
@@ -235,17 +253,21 @@ class GesIDNet(Module):
         self.head2 = Sequential(Linear(dim2, num_classes, rng=rng))
 
     # ------------------------------------------------------------------
-    def forward(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        points = as_compute(points)
-        needed = max(3, self.config.in_feature_channels)
-        if points.ndim != 3 or points.shape[2] < needed:
-            raise ValueError(
-                f"expected (batch, points, >= {needed}) input, got {points.shape}"
-            )
+    def geometry(self, points: np.ndarray) -> Geometry:
+        """Both set-abstraction groupings of ``points`` (no weights read)."""
+        first = self.sa1.group(self._points(points)[:, :, :3])
+        return first, self.sa2.group(first.centers)
+
+    def forward(
+        self, points: np.ndarray, geometry: Geometry | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Logits of ``points``; ``geometry`` is :meth:`geometry` of them if known."""
+        points = self._points(points)
+        grouping1, grouping2 = (None, None) if geometry is None else geometry
         coords = points[:, :, :3]
         features = np.transpose(points[:, :, : self.config.in_feature_channels], (0, 2, 1))
-        coords1, f1 = self.sa1(coords, features)
-        coords2, f2 = self.sa2(coords1, f1)
+        coords1, f1 = self.sa1(coords, features, grouping=grouping1)
+        coords2, f2 = self.sa2(coords1, f1, grouping=grouping2)
         level1 = self.global1(coords1, f1)
         level2 = self.global2(coords2, f2)
         resized_2to1 = self.resize_2to1(level2)
@@ -261,6 +283,15 @@ class GesIDNet(Module):
             "fused2": fused2,
         }
         return primary, auxiliary
+
+    def _points(self, points: np.ndarray) -> np.ndarray:
+        points = as_compute(points)
+        needed = max(3, self.config.in_feature_channels)
+        if points.ndim != 3 or points.shape[2] < needed:
+            raise ValueError(
+                f"expected (batch, points, >= {needed}) input, got {points.shape}"
+            )
+        return points
 
     def backward(self, grad_primary: np.ndarray, grad_auxiliary: np.ndarray) -> None:
         """Backprop both heads; auxiliary-loss weighting is the caller's job."""

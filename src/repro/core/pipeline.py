@@ -19,10 +19,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.gesidnet import GesIDNet, GesIDNetConfig
-from repro.core.trainer import TrainConfig, TrainReport, predict_proba, train_classifier
+from repro.core.gesidnet import Geometry, GesIDNet, GesIDNetConfig, geometry_rows
+from repro.core.trainer import PREDICT_BATCH, TrainConfig, TrainReport, train_classifier
 from repro.metrics.classification import accuracy, macro_f1, one_vs_rest_auc
 from repro.metrics.eer import equal_error_rate, verification_trials
+from repro.nn.losses import softmax_probabilities
+
+
+def _posteriors(model: GesIDNet, inputs: np.ndarray, geometry: Geometry) -> np.ndarray:
+    """Primary-head probabilities of one chunk on a precomputed geometry."""
+    model.eval()
+    primary, _ = model(inputs, geometry)
+    return softmax_probabilities(primary)
 
 
 class IdentificationMode(enum.Enum):
@@ -213,6 +221,12 @@ class GesturePrint:
     def predict(self, inputs: np.ndarray) -> PipelineResult:
         """Recognise gestures and identify users for a batch of samples.
 
+        Each chunk of up to ``PREDICT_BATCH`` rows computes its
+        set-abstraction geometry once (:meth:`recognize`) and the ID
+        models reuse it (:meth:`identify`): every model of a system is
+        built from ``config.network``, and the geometry depends on
+        nothing else but the coordinates.
+
         A system stamped with a low ``serve_precision`` (the float32 /
         int8 arena fast path — see :mod:`repro.serving.precision`) runs
         its forward passes in float32; the returned posteriors are
@@ -220,35 +234,65 @@ class GesturePrint:
         wire format never change.
         """
         self._require_fitted()
+        inputs = self._work_inputs(inputs)
+        gesture_chunks, user_chunks = [], []
+        for start in range(0, inputs.shape[0], PREDICT_BATCH):
+            chunk = inputs[start : start + PREDICT_BATCH]
+            gesture_probs, geometry = self.recognize(chunk)
+            gesture_chunks.append(gesture_probs)
+            user_chunks.append(self.identify(chunk, gesture_probs.argmax(axis=1), geometry))
+        gesture_probs = np.vstack(gesture_chunks)
+        user_probs = np.vstack(user_chunks)
+        return PipelineResult(
+            gesture_pred=gesture_probs.argmax(axis=1),
+            gesture_probs=gesture_probs,
+            user_pred=user_probs.argmax(axis=1),
+            user_probs=user_probs,
+        )
+
+    def recognize(self, inputs: np.ndarray) -> tuple[np.ndarray, Geometry]:
+        """Gesture posteriors of one chunk, and the geometry they used.
+
+        ``inputs`` should be a chunk :meth:`predict` would form; the
+        geometry is built for all of its rows at once.
+        """
+        self._require_fitted()
+        inputs = self._work_inputs(inputs)
+        geometry = self.gesture_model.geometry(inputs)
+        return _posteriors(self.gesture_model, inputs, geometry), geometry
+
+    def identify(
+        self, inputs: np.ndarray, gesture_pred: np.ndarray, geometry: Geometry
+    ) -> np.ndarray:
+        """User posteriors of a chunk recognised as ``gesture_pred``.
+
+        ``geometry`` is the one :meth:`recognize` returned for the same
+        ``inputs``; serialized mode hands each ID model its rows of it.
+        A gesture with no ID model (degenerate training set) gets
+        uniform posteriors.
+        """
+        inputs = self._work_inputs(inputs)
+        if self.config.mode is IdentificationMode.PARALLEL:
+            return _posteriors(self.parallel_user_model, inputs, geometry)
+        user_probs = np.full((inputs.shape[0], max(self.num_users, 1)), np.nan)
+        for gesture in np.unique(gesture_pred):
+            mask = gesture_pred == gesture
+            model = self.user_models.get(int(gesture))
+            if model is None:
+                user_probs[mask] = 1.0 / max(self.num_users, 1)
+            else:
+                user_probs[mask] = _posteriors(
+                    model, inputs[mask], geometry_rows(geometry, mask)
+                )
+        return user_probs
+
+    def _work_inputs(self, inputs: np.ndarray) -> np.ndarray:
         work_dtype = (
             np.float32
             if getattr(self, "serve_precision", None) in ("float32", "int8")
             else np.float64
         )
-        inputs = np.asarray(inputs, dtype=work_dtype)
-        gesture_probs = predict_proba(self.gesture_model, inputs)
-        gesture_pred = gesture_probs.argmax(axis=1)
-
-        user_probs = np.full((inputs.shape[0], max(self.num_users, 1)), np.nan)
-        if self.config.mode is IdentificationMode.SERIALIZED:
-            for gesture in np.unique(gesture_pred):
-                model = self.user_models.get(int(gesture))
-                if model is None:
-                    # No per-gesture model (degenerate training set): uniform.
-                    mask = gesture_pred == gesture
-                    user_probs[mask] = 1.0 / max(self.num_users, 1)
-                    continue
-                mask = gesture_pred == gesture
-                user_probs[mask] = predict_proba(model, inputs[mask])
-        else:
-            user_probs = predict_proba(self.parallel_user_model, inputs)
-        user_pred = user_probs.argmax(axis=1)
-        return PipelineResult(
-            gesture_pred=gesture_pred,
-            gesture_probs=gesture_probs,
-            user_pred=user_pred,
-            user_probs=user_probs,
-        )
+        return np.asarray(inputs, dtype=work_dtype)
 
     # ------------------------------------------------------------------
     def evaluate(

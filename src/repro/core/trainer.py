@@ -112,7 +112,14 @@ def train_classifier(
     return report
 
 
-def predict_proba(model: GesIDNet, inputs: np.ndarray, *, batch_size: int = 64) -> np.ndarray:
+#: Rows per inference forward: bounds the activations (and shared
+#: geometry) one forward holds at once.
+PREDICT_BATCH = 64
+
+
+def predict_proba(
+    model: GesIDNet, inputs: np.ndarray, *, batch_size: int = PREDICT_BATCH
+) -> np.ndarray:
     """Class probabilities from the primary head (inference path).
 
     float32 inputs ride the low-precision fast path (the network keeps

@@ -42,7 +42,7 @@ class Conv1x1(Module):
         self._input = x
         out = np.matmul(self.weight.data, x)  # (o,c) @ (b,c,n) -> (b,o,n)
         if self.bias is not None:
-            out = out + self.bias.data[None, :, None]
+            out += self.bias.data[None, :, None]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -56,7 +56,12 @@ class Conv1x1(Module):
 
 
 class SharedMLP(Module):
-    """Stack of Conv1x1 -> BatchNorm -> ReLU blocks."""
+    """Stack of Conv1x1 -> BatchNorm -> ReLU blocks.
+
+    Every ReLU here follows a block that just allocated its output, so
+    the MLP owns that array and rectifies it in place
+    (:meth:`ReLU.forward_owned`); the caller's input is never written.
+    """
 
     def __init__(
         self,
@@ -77,7 +82,7 @@ class SharedMLP(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         for block in self.blocks:
-            x = block(x)
+            x = block.forward_owned(x) if isinstance(block, ReLU) else block(x)
         return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:

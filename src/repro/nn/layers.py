@@ -91,6 +91,16 @@ class ReLU(Module):
         self._mask = x > 0
         return x * self._mask
 
+    def forward_owned(self, x: np.ndarray) -> np.ndarray:
+        """``forward`` written into ``x``, which the caller owns.
+
+        Same op and mask as :meth:`forward` (so the same bits, signed
+        zeros included); only for arrays nobody else holds.
+        """
+        self._mask = x > 0
+        np.multiply(x, self._mask, out=x)
+        return x
+
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
             raise RuntimeError("backward called before forward")
@@ -204,7 +214,9 @@ class BatchNorm(Module):
         scale = self.gamma.data * inv_std
         shift = self.beta.data - self.running_mean * scale
         self._cache = (None, inv_std, x, axes)
-        return x * self._reshape_stats(scale, x.ndim) + self._reshape_stats(shift, x.ndim)
+        out = x * self._reshape_stats(scale, x.ndim)
+        out += self._reshape_stats(shift, x.ndim)
+        return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._cache is None:

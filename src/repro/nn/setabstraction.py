@@ -9,6 +9,12 @@ max-pools each group — producing per-center local features ``f^s``
 Gradients are propagated back to the *input features* only: point
 coordinates are data (not functions of any parameter), so their gradient
 is never needed during training.
+
+The grouping half of a block — FPS, ball query and the center-relative
+grouped coordinates — holds no weights: it depends only on the input
+coordinates and on ``(num_centers, scales)``.  :meth:`group` computes it
+as a :class:`Grouping`, which ``forward`` accepts precomputed, so models
+built from one network config can share a single grouping per batch.
 """
 
 from __future__ import annotations
@@ -20,6 +26,34 @@ import numpy as np
 from repro.nn.conv import SharedMLP
 from repro.nn.module import Module, as_compute
 from repro.nn.pointset import ball_query, farthest_point_sampling, gather_points, group_points
+
+
+@dataclass(frozen=True, eq=False)
+class Grouping:
+    """The weight-free geometry of one set-abstraction block for a batch.
+
+    ``centers`` is ``(batch, num_centers, 3)``; per scale, ``group_idx``
+    holds the ball-query indices ``(batch, num_centers, neighbors)`` and
+    ``local`` the center-relative grouped coordinates
+    ``(batch, num_centers, neighbors, 3)``.  ``key`` names the
+    ``(num_centers, ((radius, neighbors), ...))`` it was built for, so a
+    block refuses a grouping made for a different architecture.
+    Consumers only read these arrays.
+    """
+
+    centers: np.ndarray
+    group_idx: tuple[np.ndarray, ...]
+    local: tuple[np.ndarray, ...]
+    key: tuple
+
+    def rows(self, index) -> "Grouping":
+        """The grouping of the batch rows selected by ``index``."""
+        return Grouping(
+            self.centers[index],
+            tuple(idx[index] for idx in self.group_idx),
+            tuple(local[index] for local in self.local),
+            self.key,
+        )
 
 
 @dataclass(frozen=True)
@@ -74,21 +108,46 @@ class MultiScaleSetAbstraction(Module):
             SharedMLP([in_channels + 3, *spec.mlp_channels], rng=rng) for spec in self.scales
         ]
         self.out_channels = sum(spec.mlp_channels[-1] for spec in self.scales)
+        self.grouping_key = (
+            num_centers,
+            tuple((spec.radius, spec.max_neighbors) for spec in self.scales),
+        )
         self._cache: dict | None = None
 
+    def group(self, coords: np.ndarray) -> Grouping:
+        """FPS centers and per-scale ball-query groups of ``coords``.
+
+        ``coords`` is ``(batch, num_points, 3)``.  The result depends on
+        nothing but ``coords`` and ``(num_centers, scales)``.
+        """
+        coords = self._check_coords(coords)
+        center_idx = farthest_point_sampling(coords, self.num_centers)
+        centers = gather_points(coords, center_idx)
+        group_idx: list[np.ndarray] = []
+        local: list[np.ndarray] = []
+        for spec in self.scales:
+            idx = ball_query(coords, centers, spec.radius, spec.max_neighbors)
+            group_idx.append(idx)
+            local.append(group_points(coords, idx) - centers[:, :, None, :])
+        return Grouping(centers, tuple(group_idx), tuple(local), self.grouping_key)
+
     def forward(
-        self, coords: np.ndarray, features: np.ndarray | None = None
+        self,
+        coords: np.ndarray,
+        features: np.ndarray | None = None,
+        *,
+        grouping: Grouping | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return ``(center_coords, center_features)``.
 
         ``coords`` is ``(batch, num_points, 3)``; ``features`` is
         ``(batch, in_channels, num_points)`` or None when ``in_channels == 0``.
+        ``grouping`` is :meth:`group` of these ``coords`` when the caller
+        already has it (computed here otherwise).
         Output shapes: ``(batch, num_centers, 3)`` and
         ``(batch, out_channels, num_centers)``.
         """
-        coords = as_compute(coords)
-        if coords.ndim != 3 or coords.shape[2] != 3:
-            raise ValueError(f"coords must be (batch, n, 3), got {coords.shape}")
+        coords = self._check_coords(coords)
         if self.in_channels == 0:
             if features is not None:
                 raise ValueError("this block takes no input features")
@@ -102,16 +161,17 @@ class MultiScaleSetAbstraction(Module):
                 raise ValueError(
                     "features must be (batch, in_channels, num_points) aligned with coords"
                 )
+        if grouping is None:
+            grouping = self.group(coords)
+        elif grouping.key != self.grouping_key or grouping.centers.shape[0] != coords.shape[0]:
+            raise ValueError("grouping was built for a different block or batch")
 
         batch, num_points, _ = coords.shape
-        center_idx = farthest_point_sampling(coords, self.num_centers)
-        centers = gather_points(coords, center_idx)
-
         scale_outputs: list[np.ndarray] = []
         cache: dict = {"num_points": num_points, "scale": []}
-        for spec, mlp in zip(self.scales, self.mlps):
-            group_idx = ball_query(coords, centers, spec.radius, spec.max_neighbors)
-            local = group_points(coords, group_idx) - centers[:, :, None, :]
+        for spec, mlp, group_idx, local in zip(
+            self.scales, self.mlps, grouping.group_idx, grouping.local
+        ):
             if features is not None:
                 grouped_feat = group_points(np.transpose(features, (0, 2, 1)), group_idx)
                 local = np.concatenate([local, grouped_feat], axis=-1)
@@ -130,7 +190,13 @@ class MultiScaleSetAbstraction(Module):
                 {"group_idx": group_idx, "argmax": argmax, "neighbors": spec.max_neighbors}
             )
         self._cache = cache
-        return centers, np.concatenate(scale_outputs, axis=1)
+        return grouping.centers, np.concatenate(scale_outputs, axis=1)
+
+    def _check_coords(self, coords: np.ndarray) -> np.ndarray:
+        coords = as_compute(coords)
+        if coords.ndim != 3 or coords.shape[2] != 3:
+            raise ValueError(f"coords must be (batch, n, 3), got {coords.shape}")
+        return coords
 
     def backward(self, grad_features: np.ndarray) -> np.ndarray | None:
         """Backprop ``grad_features`` (batch, out_channels, num_centers).

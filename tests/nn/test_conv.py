@@ -90,6 +90,37 @@ class TestSharedMLP:
         assert grad.shape == x.shape
 
 
+    def test_eval_forward_never_writes_its_input(self):
+        mlp = SharedMLP([3, 6, 4], rng=np.random.default_rng(0)).eval()
+        x = np.random.default_rng(1).normal(size=(2, 3, 5))
+        before = x.copy()
+        mlp(x)
+        np.testing.assert_array_equal(x, before)
+
+    def test_eval_input_gradient_matches_numeric(self):
+        mlp = SharedMLP([3, 6, 4], rng=np.random.default_rng(2))
+        mlp.train()
+        mlp(np.random.default_rng(3).normal(size=(4, 3, 9)))  # non-trivial running stats
+        mlp.eval()
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 3, 5))
+        grad_out = rng.normal(size=(2, 4, 5))
+        mlp(x)
+        analytic = mlp.backward(grad_out)
+        eps = 1e-6
+        numeric = np.zeros_like(x)
+        flat, nflat = x.ravel(), numeric.ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + eps
+            up = (mlp(x) * grad_out).sum()
+            flat[i] = orig - eps
+            down = (mlp(x) * grad_out).sum()
+            flat[i] = orig
+            nflat[i] = (up - down) / (2 * eps)
+        np.testing.assert_allclose(analytic, numeric, atol=1e-6)
+
+
 class TestMaxPoolPoints:
     def test_takes_max(self):
         pool = MaxPoolPoints()

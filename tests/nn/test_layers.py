@@ -81,6 +81,28 @@ class TestActivations:
         grad = layer.backward(np.array([5.0, 5.0]))
         np.testing.assert_array_equal(grad, [0.0, 5.0])
 
+    def test_relu_eval_never_writes_its_input(self):
+        x = np.random.default_rng(0).normal(size=(3, 4, 5))
+        before = x.copy()
+        layer = ReLU().eval()
+        out = layer(x)
+        assert out is not x
+        np.testing.assert_array_equal(x, before)
+        chain = Sequential(Dropout(0.5), ReLU()).eval()
+        out = chain(x)
+        assert out is not x
+        np.testing.assert_array_equal(x, before)
+
+    def test_relu_forward_owned_matches_forward_bits(self):
+        x = np.array([-2.0, -0.0, 0.0, 1.5, -1e-300])
+        expected = ReLU()(x)
+        owned = x.copy()
+        layer = ReLU()
+        out = layer.forward_owned(owned)
+        assert out is owned
+        assert out.tobytes() == expected.tobytes()  # signed zeros included
+        np.testing.assert_array_equal(layer.backward(np.ones(5)), [0, 0, 0, 1, 0])
+
     def test_leaky_relu_negative_slope(self):
         layer = LeakyReLU(0.1)
         out = layer(np.array([-2.0, 3.0]))
