@@ -610,7 +610,8 @@ class ThreadHygieneRule:
 
 
 # ----------------------------------------------------------------------
-# RC007 — ad-hoc telemetry: bare print(), unbounded list-append stats
+# RC007 — ad-hoc telemetry: bare print(), unbounded list-append stats,
+#         metric increments outside the exporter
 # ----------------------------------------------------------------------
 _DRAIN_ATTRS = {"clear", "pop", "popleft", "remove"}
 
@@ -618,7 +619,7 @@ _DRAIN_ATTRS = {"clear", "pop", "popleft", "remove"}
 class TelemetryRule:
     """Serving code must not improvise its own telemetry.
 
-    Two shapes get flagged:
+    Three shapes get flagged:
 
     * a bare ``print(...)`` — invisible to scrapers, unbounded on a hot
       path, and interleaved garbage under concurrency; use a metric or a
@@ -628,19 +629,40 @@ class TelemetryRule:
       (no ``clear``/``pop``/``remove``, no ``del``, no reassignment, no
       slicing) — a long-lived server grows it forever.  Bounded
       structures (``deque(maxlen=...)``) and lists the class actually
-      drains are fine.
+      drains are fine;
+    * an ``.inc(...)`` call outside ``serving/observability/`` — a
+      counter incremented next to a stats field counts every event
+      twice, and the two copies drift.  Counts live in the component's
+      stats dataclass; the exporter publishes them (gauges use
+      ``.set``).
     """
 
     rule_id = "RC007"
-    title = "ad-hoc telemetry: bare print() / unbounded list-append stats"
+    title = "ad-hoc telemetry: bare print() / unbounded list-append stats / metric .inc()"
 
     def applies_to(self, rel: str) -> bool:
         return "serving/" in rel
 
     def check(self, module: ModuleSource) -> list[Finding]:
         findings = []
+        exporter_home = "serving/observability/" in module.rel
         for node in ast.walk(module.tree):
-            if isinstance(node, ast.Call) and dotted_name(node.func) == "print":
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "inc"
+                and not exporter_home
+            ):
+                findings.append(
+                    module.finding(
+                        self.rule_id,
+                        node,
+                        "metric `.inc()` in serving code — a counter bumped "
+                        "beside a stats field counts the event twice; count "
+                        "in the stats object; the exporter publishes it",
+                    )
+                )
+            elif isinstance(node, ast.Call) and dotted_name(node.func) == "print":
                 findings.append(
                     module.finding(
                         self.rule_id,

@@ -63,12 +63,13 @@ import tempfile
 import threading
 import time
 from concurrent.futures import Future
+from dataclasses import dataclass
 from multiprocessing.connection import wait as connection_wait
 
 import numpy as np
 
 from repro.serving.backends.base import ExecutionBackend
-from repro.serving.observability.metrics import MetricsRegistry, get_metrics
+from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
 
 #: Bundles a worker keeps attached (current system + one swap-ago); the
 #: parent mirrors this constant to model each worker's mappings for the
@@ -239,6 +240,25 @@ class _Worker:
         return not self.eof and self.process.exitcode is None
 
 
+@dataclass
+class PoolStats:
+    """Supervisor counters of one pool, published labelled by backend."""
+
+    crashes: int = counted(
+        "repro_backend_crashes_total", "Workers declared dead (exit, SIGKILL, or missed heartbeats)"
+    )
+    respawns: int = counted(
+        "repro_backend_respawns_total", "Replacement workers spawned after a death"
+    )
+    redispatches: int = counted(
+        "repro_backend_redispatches_total", "Batches moved off a dead worker onto a healthy one"
+    )
+    prefetched_pages: int = counted(
+        "repro_backend_prefetched_pages_total",
+        "Arena pages touched at attach time, ahead of the first batch",
+    )
+
+
 class ProcessPoolBackend(ExecutionBackend):
     """Self-healing multi-core execution behind the engine's batch contract.
 
@@ -346,7 +366,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._cores = sorted(os.sched_getaffinity(0))
             except AttributeError:  # platform without CPU affinity
                 self._pin_cores = False
-        self.prefetched_pages = 0
         #: Most recent bundle handed to a worker; a respawned worker is
         #: warmed against it (attach + prefetch) before its first batch.
         self._last_bundle: str | None = None
@@ -383,31 +402,10 @@ class ProcessPoolBackend(ExecutionBackend):
         self._spawn_failures = 0
         #: Killed workers awaiting a non-blocking reap.
         self._reaping: list[_Worker] = []
-        self.respawns = 0
-        self.crashes = 0
-        self.redispatches = 0
+        self.stats = PoolStats()
         self._metrics = metrics if metrics is not None else get_metrics()
         label = {"backend": self.name}
-        self._m_crashes = self._metrics.counter(
-            "repro_backend_crashes_total",
-            "Workers declared dead (exit, SIGKILL, or missed heartbeats)",
-            ("backend",),
-        ).labels(**label)
-        self._m_respawns = self._metrics.counter(
-            "repro_backend_respawns_total",
-            "Replacement workers spawned after a death",
-            ("backend",),
-        ).labels(**label)
-        self._m_redispatches = self._metrics.counter(
-            "repro_backend_redispatches_total",
-            "Batches moved off a dead worker onto a healthy one",
-            ("backend",),
-        ).labels(**label)
-        self._m_prefetched = self._metrics.counter(
-            "repro_backend_prefetched_pages_total",
-            "Arena pages touched at attach time, ahead of the first batch",
-            ("backend",),
-        ).labels(**label)
+        self._exporter = StatsExporter(self._metrics, self.stats, labels=label)
         self._m_alive = self._metrics.gauge(
             "repro_backend_alive_workers", "Workers currently alive", ("backend",)
         ).labels(**label)
@@ -430,9 +428,9 @@ class ProcessPoolBackend(ExecutionBackend):
             ("backend", "worker"),
         )
         self._seen_worker_labels: set[str] = set()
-        self._metrics.register_collector(self._collect_metrics)
         self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         self._pool: list[_Worker] = [self._spawn_worker() for _ in range(workers)]
+        self._metrics.register_collector(self._collect_metrics)  # reads _pool
         #: Exported bundles by system identity; values hold a strong
         #: system reference so an ``id`` is never recycled while mapped.
         self._bundles: dict[int, tuple[object, str]] = {}
@@ -810,8 +808,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 if kind == "hb":
                     continue
                 if kind == "pf":
-                    self.prefetched_pages += int(message[1])
-                    self._m_prefetched.inc(int(message[1]))
+                    self.stats.prefetched_pages += int(message[1])
                     continue
                 task = worker.task
                 if task is None or task.task_id != message[1]:
@@ -863,8 +860,7 @@ class ProcessPoolBackend(ExecutionBackend):
     def _handle_death_locked(
         self, worker: _Worker, reason: str, actions: list
     ) -> None:
-        self.crashes += 1
-        self._m_crashes.inc()
+        self.stats.crashes += 1
         self._pool.remove(worker)
         worker.eof = True
         try:
@@ -882,9 +878,8 @@ class ProcessPoolBackend(ExecutionBackend):
         self._drop_worker_pins(worker)
         lost = worker.task
         worker.task = None
-        if self.respawns < self._max_respawns:
-            self.respawns += 1
-            self._m_respawns.inc()
+        if self.stats.respawns < self._max_respawns:
+            self.stats.respawns += 1
             self._want_spawn += 1  # spawned outside the lock
         # Someone must exist to run a redispatched batch: a survivor, a
         # replacement just budgeted, or one already spawning.  Otherwise
@@ -898,8 +893,7 @@ class ProcessPoolBackend(ExecutionBackend):
         if lost is not None:
             if lost.retries < self._max_redispatch and healthy:
                 lost.retries += 1
-                self.redispatches += 1
-                self._m_redispatches.inc()
+                self.stats.redispatches += 1
                 lost.future.retried = True
                 self._queue.insert(0, lost)  # ahead of newer work
             else:
@@ -959,6 +953,7 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     def close(self) -> None:
         self._metrics.unregister_collector(self._collect_metrics)
+        self._exporter.close()
         with self._lock:
             if self._closed:
                 return
@@ -1048,14 +1043,14 @@ class ProcessPoolBackend(ExecutionBackend):
                 "workers": self.workers,
                 "alive_workers": sum(1 for w in self._pool if w.alive),
                 "worker_health": worker_health,
-                "respawns": self.respawns,
-                "crashes": self.crashes,
-                "redispatches": self.redispatches,
+                "respawns": self.stats.respawns,
+                "crashes": self.stats.crashes,
+                "redispatches": self.stats.redispatches,
                 "max_respawns": self._max_respawns,
                 "heartbeat_ms": self._heartbeat_s * 1e3,
                 "precision": self.precision,
                 "prefetch": self._prefetch,
-                "prefetched_pages": self.prefetched_pages,
+                "prefetched_pages": self.stats.prefetched_pages,
                 "pin_cores": self._pin_cores,
                 "degraded": self._degraded,
                 "supervisor_failed": self._supervisor_failed,

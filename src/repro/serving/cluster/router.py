@@ -38,6 +38,7 @@ import asyncio
 import itertools
 import ssl
 import time
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 
@@ -45,79 +46,96 @@ from repro.serving.cluster.membership import DEAD, MembershipTable
 from repro.serving.cluster.ring import EmptyRingError, HashRing
 from repro.serving.gateway import protocol
 from repro.serving.gateway.client import AsyncGatewayClient, GatewayError
-from repro.serving.gateway.protocol import Frame, FrameType, ProtocolError, VersionMismatch
+from repro.serving.gateway.protocol import Frame, FrameType, ProtocolError
 from repro.serving.gateway.security import TenantAuthenticator
 # The router reuses the gateway's per-client connection plumbing
 # (bounded outbox + writer task) rather than growing a second copy.
-from repro.serving.gateway.server import _Connection
-from repro.serving.observability.metrics import MetricsRegistry, get_metrics
+from repro.serving.gateway.server import _Connection, answer_trace
+from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
+from repro.serving.observability.metrics import published, tally, total
 from repro.serving.observability.tracing import TraceRecord, Tracer
 
 __all__ = ["ClusterRouter", "RouterStats", "RouterTicket"]
 
 
+#: STATS-reply key order of :meth:`RouterStats.as_dict`.
+_ROUTER_KEYS = (
+    "connections_total", "submits", "forwarded", "delivered", "errors", "redispatched",
+    "node_deaths", "node_heals", "duplicates_suppressed", "protocol_errors",
+    "handshakes_rejected", "auth_failed",
+)
+
+
 @dataclass
 class RouterStats:
-    """Router-level operational counters."""
+    """Router-level operational counters, published at scrape time.
 
-    connections_total: int = 0
-    submits: int = 0
-    forwarded: int = 0
-    delivered: int = 0
-    errors: int = 0
-    redispatched: int = 0
-    node_deaths: int = 0
-    node_heals: int = 0
-    duplicates_suppressed: int = 0
-    protocol_errors: int = 0
-    handshakes_rejected: int = 0
-    auth_failed: int = 0
+    ``forwarded``, ``delivered``, ``errors``, ``node_deaths`` and
+    ``node_heals`` are sums over the per-shard / per-code tallies.
+    """
+
+    connections_total: int = counted(
+        "repro_router_connections_total", "Client connections accepted."
+    )
+    submits: int = counted("repro_router_submits_total", "SUBMIT frames received from clients.")
+    forwarded_by_node: Counter = tally(
+        ("node",),
+        published("repro_router_forwarded_total", "SUBMIT frames forwarded, by owning shard."),
+    )
+    delivered_by_node: Counter = tally(
+        ("node",),
+        published(
+            "repro_router_delivered_total",
+            "RESULT frames fanned back to clients, by serving shard.",
+        ),
+    )
+    errors_by_code: Counter = tally(
+        ("code",),
+        published("repro_router_errors_total", "ERROR frames relayed or originated, by code."),
+    )
+    redispatched: int = counted(
+        "repro_router_redispatched_total",
+        "Tickets redispatched to the ring successor after a shard died.",
+    )
+    deaths_by_node: Counter = tally(
+        ("node",),
+        published(
+            "repro_router_node_deaths_total",
+            "Shards declared dead (missed heartbeats or refused connects).",
+        ),
+    )
+    heals_by_node: Counter = tally(
+        ("node",), published("repro_router_node_heals_total", "Dead shards revived into the ring.")
+    )
+    duplicates_suppressed: int = counted(
+        "repro_router_duplicates_suppressed_total",
+        "Late RESULT/ERROR frames with no pending ticket, dropped.",
+    )
+    protocol_errors: int = counted(
+        "repro_router_protocol_errors_total", "Frames rejected as malformed after the handshake."
+    )
+    handshakes_rejected: int = counted(
+        "repro_router_handshakes_rejected_total", "Connections dropped during the HELLO exchange."
+    )
+    auth_failed: int = counted(
+        "repro_router_auth_failed_total", "Handshakes rejected for a missing or wrong bearer token."
+    )
+    forwarded = total("forwarded_by_node")
+    delivered = total("delivered_by_node")
+    errors = total("errors_by_code")
+    node_deaths = total("deaths_by_node")
+    node_heals = total("heals_by_node")
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view of the counters (the STATS reply body)."""
-        return dict(self.__dict__)
+        return {key: getattr(self, key) for key in _ROUTER_KEYS}
 
 
 class _RouterInstruments:
-    """The ``repro_router_*`` metric families (see ``_GatewayInstruments``)."""
+    """The ``repro_router_*`` gauges (its counters are
+    :class:`RouterStats` fields)."""
 
     def __init__(self, metrics: MetricsRegistry) -> None:
-        self.connections = metrics.counter(
-            "repro_router_connections_total", "Client connections accepted."
-        ).labels()
-        self.forwarded = metrics.counter(
-            "repro_router_forwarded_total",
-            "SUBMIT frames forwarded, by owning shard.",
-            labelnames=("node",),
-        )
-        self.delivered = metrics.counter(
-            "repro_router_delivered_total",
-            "RESULT frames fanned back to clients, by serving shard.",
-            labelnames=("node",),
-        )
-        self.errors = metrics.counter(
-            "repro_router_errors_total",
-            "ERROR frames relayed or originated, by code.",
-            labelnames=("code",),
-        )
-        self.redispatched = metrics.counter(
-            "repro_router_redispatched_total",
-            "Tickets redispatched to the ring successor after a shard died.",
-        ).labels()
-        self.node_deaths = metrics.counter(
-            "repro_router_node_deaths_total",
-            "Shards declared dead (missed heartbeats or refused connects).",
-            labelnames=("node",),
-        )
-        self.node_heals = metrics.counter(
-            "repro_router_node_heals_total",
-            "Dead shards revived into the ring.",
-            labelnames=("node",),
-        )
-        self.duplicates = metrics.counter(
-            "repro_router_duplicates_suppressed_total",
-            "Late RESULT/ERROR frames with no pending ticket, dropped.",
-        ).labels()
         self.g_nodes_alive = metrics.gauge(
             "repro_router_nodes_alive", "Shards currently in the ring."
         ).labels()
@@ -257,6 +275,7 @@ class ClusterRouter:
         self.address: tuple[str, int] | None = None
         self._metrics = metrics if metrics is not None else get_metrics()
         self._m = _RouterInstruments(self._metrics)
+        self._exporter = StatsExporter(self._metrics, self.stats)
         self._ticket_ids = itertools.count(1)
         self._rr = itertools.count()
         self._tickets: dict[int, RouterTicket] = {}
@@ -266,8 +285,6 @@ class ClusterRouter:
         self._upstreams: dict[tuple[str, str], asyncio.Task] = {}
         self._controls: dict[str, AsyncGatewayClient] = {}
         self._connections: set[_Connection] = set()
-        self._forwarded_by_node: dict[str, int] = {}
-        self._delivered_by_node: dict[str, int] = {}
         #: Per-shard forward->deliver latency EWMA (seconds); redispatched
         #: tickets are excluded, mirroring the worker pool's EWMA hygiene.
         self._latency_ewma: dict[str, float] = {}
@@ -346,6 +363,7 @@ class ClusterRouter:
                 pass
         self._connections.clear()
         self._metrics.unregister_collector(self._collect_metrics)
+        self._exporter.close()
 
     @property
     def num_connections(self) -> int:
@@ -449,7 +467,6 @@ class ClusterRouter:
 
     def _count_orphan(self, frame: Frame) -> None:
         self.stats.duplicates_suppressed += 1
-        self._m.duplicates.inc()
 
     async def _close_upstream(self, key: tuple[str, str]) -> None:
         task = self._upstreams.pop(key, None)
@@ -479,10 +496,12 @@ class ClusterRouter:
         """Idempotently take a shard out of service: membership, ring,
         and its connection pool (whose closure redispatches airborne
         tickets)."""
-        if not self.membership.mark_dead(node_id, reason=reason):
-            return
-        self.stats.node_deaths += 1
-        self._m.node_deaths.labels(node_id).inc()
+        if self.membership.mark_dead(node_id, reason=reason):
+            self._retire(node_id)
+
+    def _retire(self, node_id: str) -> None:
+        """Side effects of a shard that membership just declared dead."""
+        self.stats.deaths_by_node[node_id] += 1
         self.ring.remove(node_id)
         self._schedule(self._teardown_node(node_id))
 
@@ -493,8 +512,7 @@ class ClusterRouter:
 
     def _revive(self, node_id: str, summary: Mapping | None) -> None:
         if self.membership.heartbeat(node_id, summary=summary):
-            self.stats.node_heals += 1
-            self._m.node_heals.labels(node_id).inc()
+            self.stats.heals_by_node[node_id] += 1
             self.ring.add(node_id)
 
     # ------------------------------------------------------------------
@@ -552,24 +570,16 @@ class ClusterRouter:
             # misread as the *next* heartbeat's answer.
             await self._close_control(node_id)
             if self.membership.miss(node_id, reason=repr(error)):
-                self._on_heartbeat_death(node_id, repr(error))
+                self._retire(node_id)
             return
         echoed = snapshot.get("node_id")
         if echoed is not None and echoed != node_id:
             await self._close_control(node_id)
             reason = f"node_id mismatch: shard says {echoed!r}"
             if self.membership.miss(node_id, reason=reason):
-                self._on_heartbeat_death(node_id, reason)
+                self._retire(node_id)
             return
         self._revive(node_id, self._condense(snapshot))
-
-    def _on_heartbeat_death(self, node_id: str, reason: str) -> None:
-        """Miss limit crossed: mirror ``_declare_dead``'s side effects
-        (membership already flipped the state)."""
-        self.stats.node_deaths += 1
-        self._m.node_deaths.labels(node_id).inc()
-        self.ring.remove(node_id)
-        self._schedule(self._teardown_node(node_id))
 
     async def _probe(self, node_id: str) -> bool:
         """One revival attempt against a dead shard."""
@@ -605,7 +615,6 @@ class ClusterRouter:
     ) -> None:
         connection = _Connection(reader, writer, max_outbox=self.max_outbox_frames)
         self.stats.connections_total += 1
-        self._m.connections.inc()
         writer_task = asyncio.create_task(connection.write_loop())
         try:
             if not await self._handshake(connection):
@@ -635,20 +644,10 @@ class ClusterRouter:
     async def _handshake(self, connection: _Connection) -> bool:
         """HELLO exchange: resolve the tenant's home shard, pre-warm its
         pooled connection, and echo the shard's SLO terms back."""
-        try:
-            frame = await asyncio.wait_for(
-                protocol.read_frame(connection.reader), self.handshake_timeout_s
-            )
-        except VersionMismatch as error:
-            connection.send(protocol.error_frame(error.code, str(error)))
-            return False
-        if frame is None or frame.kind is not FrameType.HELLO:
-            connection.send(
-                protocol.error_frame("bad_handshake", "expected a HELLO frame first")
-            )
+        frame = await connection.read_hello(self.handshake_timeout_s)
+        if frame is None:
             return False
         tenant_id = str(frame.meta.get("tenant", "anonymous"))
-        connection.client_name = str(frame.meta.get("client", "?"))
         if self.auth is not None:
             raw_token = frame.meta.get("token")
             token = raw_token if isinstance(raw_token, str) else None
@@ -696,7 +695,7 @@ class ClusterRouter:
             elif frame.kind is FrameType.STATS:
                 connection.send(protocol.stats_frame(self.snapshot()))
             elif frame.kind is FrameType.TRACE:
-                self._on_trace(connection, frame)
+                answer_trace(connection, frame, self.tracer, self.stats)
             elif frame.kind is FrameType.RELOAD:
                 self._schedule(self._broadcast_reload(connection))
             else:
@@ -782,7 +781,6 @@ class ClusterRouter:
                         return
                     ticket.retried = True
                     self.stats.redispatched += 1
-                    self._m.redispatched.inc()
                     if ticket.trace is not None:
                         ticket.trace.retried = True
                     continue
@@ -797,9 +795,7 @@ class ClusterRouter:
         the raw RESULT frame."""
         node_id, upstream = await self._upstream_for_tenant(ticket.tenant)
         ticket.node = node_id
-        self.stats.forwarded += 1
-        self._forwarded_by_node[node_id] = self._forwarded_by_node.get(node_id, 0) + 1
-        self._m.forwarded.labels(node_id).inc()
+        self.stats.forwarded_by_node[node_id] += 1
         sent = self.clock()
         if ticket.trace is not None:
             ticket.trace.mark_dispatched(
@@ -827,9 +823,7 @@ class ClusterRouter:
         if ticket.retried:
             meta["retried"] = True
         ticket.connection.send(Frame(FrameType.RESULT, meta, frame.body))
-        self.stats.delivered += 1
-        self._delivered_by_node[node_id] = self._delivered_by_node.get(node_id, 0) + 1
-        self._m.delivered.labels(node_id).inc()
+        self.stats.delivered_by_node[node_id] += 1
         if ticket.trace is not None:
             ticket.trace.mark_landed(
                 self.clock(), worker=None, retried=ticket.retried
@@ -843,8 +837,7 @@ class ClusterRouter:
         if ticket.done:
             return
         ticket.done = True
-        self.stats.errors += 1
-        self._m.errors.labels(error.code).inc()
+        self.stats.errors_by_code[error.code] += 1
         ticket.connection.send(
             protocol.error_frame(
                 error.code, str(error), request_id=ticket.client_request_id
@@ -857,8 +850,7 @@ class ClusterRouter:
         if ticket.done:
             return
         ticket.done = True
-        self.stats.errors += 1
-        self._m.errors.labels(code).inc()
+        self.stats.errors_by_code[code] += 1
         ticket.connection.send(
             protocol.error_frame(code, message, request_id=ticket.client_request_id)
         )
@@ -868,27 +860,6 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Control-plane frames
     # ------------------------------------------------------------------
-    def _on_trace(self, connection: _Connection, frame: Frame) -> None:
-        if self.tracer is None:
-            connection.send(
-                protocol.trace_frame(
-                    {"traces": [], "dropped": 0, "buffered": 0, "enabled": False}
-                )
-            )
-            return
-        limit = frame.meta.get("limit")
-        records = self.tracer.drain(None if limit is None else int(limit))
-        connection.send(
-            protocol.trace_frame(
-                {
-                    "traces": records,
-                    "dropped": self.tracer.dropped,
-                    "buffered": self.tracer.buffered,
-                    "enabled": True,
-                }
-            )
-        )
-
     async def _broadcast_reload(self, connection: _Connection) -> None:
         """Fan a RELOAD out to every alive shard over short-lived
         connections (control connections stay heartbeat-only so replies
@@ -943,8 +914,8 @@ class ClusterRouter:
             ewma = self._latency_ewma.get(node_id)
             shards[node_id] = {
                 **membership[node_id],
-                "forwarded": self._forwarded_by_node.get(node_id, 0),
-                "delivered": self._delivered_by_node.get(node_id, 0),
+                "forwarded": self.stats.forwarded_by_node[node_id],
+                "delivered": self.stats.delivered_by_node[node_id],
                 "forward_ewma_ms": None if ewma is None else ewma * 1e3,
                 "summary": record.summary,
             }

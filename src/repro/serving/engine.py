@@ -57,6 +57,7 @@ on any backend (enforced by ``tests/serving/test_engine.py`` and
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, Future
 from concurrent.futures import wait as wait_futures
 from dataclasses import dataclass
@@ -66,7 +67,8 @@ import numpy as np
 
 from repro.core.pipeline import GesturePrint, PipelineResult
 from repro.serving.backends import ExecutionBackend, InlineBackend
-from repro.serving.observability.metrics import MetricsRegistry, get_metrics
+from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
+from repro.serving.observability.metrics import published, tally, total
 from repro.serving.observability.tracing import TraceRecord, Tracer
 from repro.serving.scheduler import BatchScheduler, request_order
 
@@ -233,29 +235,50 @@ class _InFlightBatch:
 
 @dataclass
 class EngineStats:
-    """Operational counters (exposed for benchmarks and monitoring)."""
+    """Operational counters: the engine's only count store, published to
+    ``/metrics`` at scrape time, labelled by backend."""
 
-    requests: int = 0
-    sync_requests: int = 0
-    batches: int = 0
-    batched_samples: int = 0
+    #: Requests accepted: ``sync`` (``predict_one``) or ``async`` (``submit``).
+    requests_by_mode: Counter = tally(
+        ("mode",),
+        published("repro_engine_requests_total", "Requests accepted by the engine"),
+        keys=("async", "sync"),
+    )
+    batches: int = counted("repro_engine_batches_total", "Batches that landed and delivered")
+    batched_samples: int = counted(
+        "repro_engine_batched_samples_total", "Samples delivered via batches"
+    )
     max_batch: int = 0
-    failed_batches: int = 0
-    swaps: int = 0
-    dispatched_batches: int = 0
+    failed_batches: int = counted(
+        "repro_engine_failed_batches_total", "Batches whose forward pass raised"
+    )
+    swaps: int = counted("repro_engine_swaps_total", "Hot model swaps applied")
+    dispatched_batches: int = counted(
+        "repro_engine_dispatched_batches_total", "Batches submitted to the execution backend"
+    )
     #: Batches that landed only after a crash redispatch (a supervised
     #: backend moved them off a dead worker); their tickets delivered
     #: normally, but the scheduler's latency model excluded them.
-    retried_batches: int = 0
+    retried_batches: int = counted(
+        "repro_engine_retried_batches_total", "Batches recovered by a crash redispatch"
+    )
     #: Batches duplicated onto a second backend slot because the primary
     #: outlived the hedge threshold; ``hedge_wins`` counts the subset
     #: where the duplicate actually delivered first.
-    hedged_batches: int = 0
-    hedge_wins: int = 0
+    hedged_batches: int = counted(
+        "repro_engine_hedged_batches_total", "Batches duplicated onto a second backend slot"
+    )
+    hedge_wins: int = counted(
+        "repro_engine_hedge_wins_total", "Hedges that delivered before the primary"
+    )
     #: Hedge placements the backend refused (pool at capacity or
     #: closing); the primary keeps running, but a climbing count means
     #: the hedge budget is writing checks the pool can't cash.
-    hedge_rejected: int = 0
+    hedge_rejected: int = counted(
+        "repro_engine_hedge_rejected_total", "Hedge placements the backend refused"
+    )
+    requests = total("requests_by_mode")
+    sync_requests = total("requests_by_mode", mode="sync")
 
     @property
     def mean_batch(self) -> float:
@@ -267,60 +290,10 @@ _BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0)
 
 
 class _EngineInstruments:
-    """Cached metric children for one engine, labelled by backend.
-
-    Every series here mirrors an :class:`EngineStats` counter one-to-one
-    and is incremented at the same site, so a scrape and ``stats`` can
-    be cross-checked exactly (the benches do).
-    """
+    """The engine's histograms and gauges, labelled by backend (its
+    counters are :class:`EngineStats` fields)."""
 
     def __init__(self, metrics: MetricsRegistry, backend: str) -> None:
-        def counter(name: str, help_text: str):
-            return metrics.counter(name, help_text, ("backend",)).labels(
-                backend=backend
-            )
-
-        self.requests_async = metrics.counter(
-            "repro_engine_requests_total",
-            "Requests accepted by the engine",
-            ("backend", "mode"),
-        ).labels(backend=backend, mode="async")
-        self.requests_sync = metrics.counter(
-            "repro_engine_requests_total",
-            "Requests accepted by the engine",
-            ("backend", "mode"),
-        ).labels(backend=backend, mode="sync")
-        self.dispatched = counter(
-            "repro_engine_dispatched_batches_total",
-            "Batches submitted to the execution backend",
-        )
-        self.batches = counter(
-            "repro_engine_batches_total", "Batches that landed and delivered"
-        )
-        self.batched_samples = counter(
-            "repro_engine_batched_samples_total", "Samples delivered via batches"
-        )
-        self.failed_batches = counter(
-            "repro_engine_failed_batches_total", "Batches whose forward pass raised"
-        )
-        self.retried_batches = counter(
-            "repro_engine_retried_batches_total",
-            "Batches recovered by a crash redispatch",
-        )
-        self.hedged_batches = counter(
-            "repro_engine_hedged_batches_total",
-            "Batches duplicated onto a second backend slot",
-        )
-        self.hedge_wins = counter(
-            "repro_engine_hedge_wins_total", "Hedges that delivered before the primary"
-        )
-        self.hedge_rejected = counter(
-            "repro_engine_hedge_rejected_total",
-            "Hedge placements the backend refused",
-        )
-        self.swaps = counter(
-            "repro_engine_swaps_total", "Hot model swaps applied"
-        )
         self.batch_latency = metrics.histogram(
             "repro_engine_batch_latency_seconds",
             "Submit-to-landing wall time per batch (executor queueing included)",
@@ -441,9 +414,13 @@ class InferenceEngine:
         self._tracer = tracer
         self._m = _EngineInstruments(self._metrics, self.backend.name)
         self._m.model_version.set(0)
-        self._metrics.register_collector(self._collect_metrics)
         self._pending: list[tuple[np.ndarray, Ticket]] = []
         self._in_flight: list[_InFlightBatch] = []
+        # After the state it reads: a scrape may run on another thread.
+        self._metrics.register_collector(self._collect_metrics)
+        self._exporter = StatsExporter(
+            self._metrics, self.stats, labels={"backend": self.backend.name}
+        )
         self._in_flush = False
         self._flush_requested = False
         self._pending_swap: GesturePrint | None = None
@@ -534,9 +511,7 @@ class InferenceEngine:
     def predict_one(self, sample: np.ndarray) -> SampleResult:
         """Classify one sample synchronously (the latency-critical path)."""
         sample = self._validate(sample)
-        self.stats.requests += 1
-        self.stats.sync_requests += 1
-        self._m.requests_sync.inc()
+        self.stats.requests_by_mode["sync"] += 1
         result = self.system.predict(sample[None, ...])
         return SampleResult.from_row(result, 0, model_version=self.model_version)
 
@@ -600,8 +575,7 @@ class InferenceEngine:
             trace=trace,
         )
         self._pending.append((sample, ticket))
-        self.stats.requests += 1
-        self._m.requests_async.inc()
+        self.stats.requests_by_mode["async"] += 1
         if not defer_flush and self._should_flush(now):
             self.flush(raise_on_error=False)
         return ticket
@@ -720,7 +694,6 @@ class InferenceEngine:
                 )
             )
             self.stats.dispatched_batches += 1
-            self._m.dispatched.inc()
             for _, ticket in entries:
                 if ticket.trace is not None:
                     ticket.trace.mark_dispatched(
@@ -786,12 +759,10 @@ class InferenceEngine:
                 # in flight, so keep waiting — but count the refusal
                 # rather than swallowing it invisibly (RC006).
                 self.stats.hedge_rejected += 1
-                self._m.hedge_rejected.inc()
                 continue
             flight.hedge = hedge
             flight.hedged_at = now
             self.stats.hedged_batches += 1
-            self._m.hedged_batches.inc()
             for _, ticket in flight.entries:
                 if ticket.trace is not None:
                     ticket.trace.mark_hedged(now)
@@ -872,7 +843,6 @@ class InferenceEngine:
         if hedged and not _future_ok(flight.future) and _future_ok(flight.hedge):
             winner = flight.hedge
             self.stats.hedge_wins += 1
-            self._m.hedge_wins.inc()
         if hedged:
             loser = flight.hedge if winner is flight.future else flight.future
             loser.cancel()  # best effort: a running loser is just abandoned
@@ -885,7 +855,6 @@ class InferenceEngine:
             result, exec_s = winner.result()
         except Exception as error:  # poison batch: fail this group only
             self.stats.failed_batches += 1
-            self._m.failed_batches.inc()
             for _, ticket in entries:
                 if ticket.cancelled:
                     continue
@@ -897,7 +866,6 @@ class InferenceEngine:
             # batch whose second worker also died lands in the exception
             # path above and is a failed batch, not a recovered one.
             self.stats.retried_batches += 1
-            self._m.retried_batches.inc()
         if self.scheduler is not None:
             # Submit-to-landing wall time: execution *plus* executor
             # queueing, so the adaptive limit prices the backend it
@@ -914,8 +882,6 @@ class InferenceEngine:
         self.stats.batches += 1
         self.stats.batched_samples += len(entries)
         self.stats.max_batch = max(self.stats.max_batch, len(entries))
-        self._m.batches.inc()
-        self._m.batched_samples.inc(len(entries))
         self._m.batch_size.observe(len(entries))
         self._m.batch_latency.observe(done - flight.dispatched)
         excluded = retried or hedged
@@ -1044,7 +1010,6 @@ class InferenceEngine:
         self.system = system
         self.model_version += 1
         self.stats.swaps += 1
-        self._m.swaps.inc()
         self._m.model_version.set(self.model_version)
         # Pre-stage the new weights (e.g. the process backend's arena
         # export) off the first post-swap batch's critical path.
@@ -1109,5 +1074,6 @@ class InferenceEngine:
         """
         self.flush(raise_on_error=False)
         self._metrics.unregister_collector(self._collect_metrics)
+        self._exporter.close()
         if self._owns_backend:
             self.backend.close()

@@ -57,6 +57,7 @@ from __future__ import annotations
 import asyncio
 import ssl
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable
 
@@ -71,10 +72,9 @@ from repro.serving.gateway.protocol import Frame, FrameType, ProtocolError, Vers
 from repro.serving.gateway.quota import QuotaLedger
 from repro.serving.gateway.tenants import AdmissionQueue, Tenant, TenantDirectory
 from repro.serving.observability.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    MetricsRegistry,
-    get_metrics,
+    DEFAULT_LATENCY_BUCKETS, MetricsRegistry, StatsExporter, get_metrics,
 )
+from repro.serving.observability.metrics import counted, published, tally, total
 from repro.serving.observability.tracing import TraceRecord, Tracer
 from repro.serving.registry import ModelRegistry
 
@@ -92,71 +92,88 @@ class GatewayRequest:
     trace: TraceRecord | None = None
 
 
+#: STATS-reply key order of :meth:`GatewayStats.as_dict`.
+_GATEWAY_KEYS = (
+    "connections_total", "handshakes_rejected", "submits", "results", "shed", "rejected",
+    "rate_limited", "auth_failed", "quota_exceeded", "classify_errors", "protocol_errors",
+    "reloads", "tenant_model_hits", "tenant_model_misses",
+)
+
+
 @dataclass
 class GatewayStats:
-    """Server-level operational counters."""
+    """Server-level operational counters, published at scrape time.
 
-    connections_total: int = 0
-    handshakes_rejected: int = 0
-    submits: int = 0
-    results: int = 0
-    shed: int = 0
-    rejected: int = 0
-    rate_limited: int = 0
-    auth_failed: int = 0
-    quota_exceeded: int = 0
-    classify_errors: int = 0
-    protocol_errors: int = 0
-    reloads: int = 0
-    tenant_model_hits: int = 0
-    tenant_model_misses: int = 0
+    ``submits``, ``results`` and the four refusal counts are sums over
+    the per-label tallies, so each event is counted once.
+    """
+
+    connections_total: int = counted("repro_gateway_connections_total", "TCP connections accepted.")
+    handshakes_rejected: int = counted(
+        "repro_gateway_handshakes_rejected_total", "Connections dropped during the HELLO exchange."
+    )
+    #: (tenant, slo_class) -> SUBMIT frames received.
+    submits_by_tenant: Counter = tally(
+        ("tenant", "slo_class"),
+        published("repro_gateway_submits_total", "SUBMIT frames received (admitted or not)."),
+    )
+    #: (tenant, slo_class) -> RESULT frames delivered.
+    results_by_tenant: Counter = tally(
+        ("tenant", "slo_class"),
+        published("repro_gateway_results_total", "RESULT frames delivered to clients."),
+    )
+    #: (tenant, code) -> requests refused or shed.
+    rejections: Counter = tally(
+        ("tenant", "code"),
+        published("repro_gateway_rejected_total", "Requests refused or shed, by rejection code."),
+        published(
+            "repro_gateway_quota_exceeded_total",
+            "SUBMITs refused because a calendar budget was exhausted.",
+            code="quota_exceeded",
+        ),
+    )
+    auth_failed: int = counted(
+        "repro_gateway_auth_failed_total",
+        "Handshakes rejected for a missing or wrong bearer token.",
+    )
+    classify_errors: int = counted(
+        "repro_gateway_classify_errors_total", "Admitted requests that failed inside the engine."
+    )
+    protocol_errors: int = counted(
+        "repro_gateway_protocol_errors_total", "Frames rejected as malformed after the handshake."
+    )
+    reloads: int = counted("repro_gateway_reloads_total", "Successful RELOAD round trips.")
+    tenant_model_hits: int = counted(
+        "repro_gateway_tenant_model_hits_total",
+        "Admitted requests whose tenant's model was registry-resident.",
+    )
+    tenant_model_misses: int = counted(
+        "repro_gateway_tenant_model_misses_total",
+        "Admitted requests that had to (re)load their tenant's model.",
+    )
+    submits = total("submits_by_tenant")
+    results = total("results_by_tenant")
+    shed = total("rejections", code="shed")
+    rate_limited = total("rejections", code="rate_limited")
+    quota_exceeded = total("rejections", code="quota_exceeded")
+
+    @property
+    def rejected(self) -> int:
+        """Refusals under any other code (``over_capacity``, ``queue_full``)."""
+        refused = sum(self.rejections.values())
+        return refused - self.shed - self.rate_limited - self.quota_exceeded
 
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view of the counters (the STATS reply body)."""
-        return dict(self.__dict__)
+        return {key: getattr(self, key) for key in _GATEWAY_KEYS}
 
 
 class _GatewayInstruments:
-    """The gateway's ``repro_gateway_*`` metric families.
-
-    Every counter increments at the exact site its :class:`GatewayStats`
-    twin does, so a scrape and a STATS frame can be cross-checked
-    one-to-one (``benchmarks/bench_obs.py`` asserts this).  Per-tenant
-    children are looked up at call time — tenants appear dynamically.
-    """
+    """The gateway's ``repro_gateway_*`` histograms and gauges (its
+    counters are :class:`GatewayStats` fields).  Per-tenant children are
+    looked up at call time — tenants appear dynamically."""
 
     def __init__(self, metrics: MetricsRegistry) -> None:
-        self.connections = metrics.counter(
-            "repro_gateway_connections_total", "TCP connections accepted."
-        ).labels()
-        self.handshakes_rejected = metrics.counter(
-            "repro_gateway_handshakes_rejected_total",
-            "Connections dropped during the HELLO exchange.",
-        ).labels()
-        self.submits = metrics.counter(
-            "repro_gateway_submits_total",
-            "SUBMIT frames received (admitted or not).",
-            labelnames=("tenant", "slo_class"),
-        )
-        self.results = metrics.counter(
-            "repro_gateway_results_total",
-            "RESULT frames delivered to clients.",
-            labelnames=("tenant", "slo_class"),
-        )
-        self.rejected = metrics.counter(
-            "repro_gateway_rejected_total",
-            "Requests refused or shed, by rejection code.",
-            labelnames=("tenant", "code"),
-        )
-        self.auth_failed = metrics.counter(
-            "repro_gateway_auth_failed_total",
-            "Handshakes rejected for a missing or wrong bearer token.",
-        ).labels()
-        self.quota_exceeded = metrics.counter(
-            "repro_gateway_quota_exceeded_total",
-            "SUBMITs refused because a calendar budget was exhausted.",
-            labelnames=("tenant",),
-        )
         self.quota_used = metrics.gauge(
             "repro_gateway_quota_used",
             "Usage inside the current quota window, per tenant and axis.",
@@ -167,25 +184,6 @@ class _GatewayInstruments:
             "Configured budget for the same (tenant, window, resource).",
             labelnames=("tenant", "window", "resource"),
         )
-        self.classify_errors = metrics.counter(
-            "repro_gateway_classify_errors_total",
-            "Admitted requests that failed inside the engine.",
-        ).labels()
-        self.protocol_errors = metrics.counter(
-            "repro_gateway_protocol_errors_total",
-            "Frames rejected as malformed after the handshake.",
-        ).labels()
-        self.reloads = metrics.counter(
-            "repro_gateway_reloads_total", "Successful RELOAD round trips."
-        ).labels()
-        self.tenant_model_hits = metrics.counter(
-            "repro_gateway_tenant_model_hits_total",
-            "Admitted requests whose tenant's model was registry-resident.",
-        ).labels()
-        self.tenant_model_misses = metrics.counter(
-            "repro_gateway_tenant_model_misses_total",
-            "Admitted requests that had to (re)load their tenant's model.",
-        ).labels()
         self.request_latency = metrics.histogram(
             "repro_gateway_request_latency_seconds",
             "SUBMIT-decode to RESULT-enqueue latency, per SLO class.",
@@ -250,6 +248,20 @@ class _Connection:
             return
         self.outbox.put_nowait(protocol.encode_frame(frame))
 
+    async def read_hello(self, timeout_s: float) -> Frame | None:
+        """The client's HELLO frame, or None after an ERROR reply (a
+        protocol version mismatch, or anything but HELLO first)."""
+        try:
+            frame = await asyncio.wait_for(protocol.read_frame(self.reader), timeout_s)
+        except VersionMismatch as error:
+            self.send(protocol.error_frame(error.code, str(error)))
+            return None
+        if frame is None or frame.kind is not FrameType.HELLO:
+            self.send(protocol.error_frame("bad_handshake", "expected a HELLO frame first"))
+            return None
+        self.client_name = str(frame.meta.get("client", "?"))
+        return frame
+
     async def write_loop(self) -> None:
         try:
             while True:
@@ -272,6 +284,36 @@ class _Connection:
                     break
         except (ConnectionError, asyncio.CancelledError):
             pass
+
+
+def answer_trace(
+    connection: _Connection, frame: Frame, tracer: Tracer | None, stats
+) -> None:
+    """Reply to a TRACE frame by draining up to ``limit`` trace records.
+
+    Shared by the gateway and the router.  A ``limit`` that is not a
+    non-negative int is refused with a ``bad_trace`` ERROR frame and
+    counted in ``stats.protocol_errors``; the connection stays open.
+    """
+    limit = frame.meta.get("limit")
+    if limit is not None and (type(limit) is not int or limit < 0):
+        stats.protocol_errors += 1
+        connection.send(
+            protocol.error_frame(
+                "bad_trace", f"TRACE limit must be a non-negative int, got {limit!r}"
+            )
+        )
+        return
+    if tracer is None:
+        payload = {"traces": [], "dropped": 0, "buffered": 0, "enabled": False}
+    else:
+        payload = {
+            "traces": tracer.drain(limit),
+            "dropped": tracer.dropped,
+            "buffered": tracer.buffered,
+            "enabled": True,
+        }
+    connection.send(protocol.trace_frame(payload))
 
 
 class GatewayServer:
@@ -404,7 +446,8 @@ class GatewayServer:
                 raise ValueError("pass a fitted system or an engine")
             if scheduler is None and slo_ms is not None:
                 scheduler = BatchScheduler(
-                    slo_ms=slo_ms, max_batch=max_batch_size, adapt_margin=True
+                    slo_ms=slo_ms, max_batch=max_batch_size, adapt_margin=True,
+                    metrics=metrics,
                 )
             engine = InferenceEngine(
                 system,
@@ -437,6 +480,7 @@ class GatewayServer:
         self._ssl_context = ssl_context
         self.quota = quota
         self.stats = GatewayStats()
+        self._exporter = StatsExporter(self._metrics, self.stats)
         self.address: tuple[str, int] | None = None
         #: The scheduler's configured SLO, restored when no SLO-carrying
         #: tenant is connected (see :meth:`_refresh_slo`).
@@ -549,6 +593,7 @@ class GatewayServer:
         if self.quota is not None:
             self.quota.close()  # persist unsynced charges across restart
         self._metrics.unregister_collector(self._collect_metrics)
+        self._exporter.close()
 
     @property
     def num_connections(self) -> int:
@@ -652,8 +697,7 @@ class GatewayServer:
         tenant.stats.record_latency(latency_s)
         if self.quota is not None:
             self.quota.charge_compute(tenant.tenant_id, latency_s)
-        self.stats.results += 1
-        self._m.results.labels(tenant.tenant_id, tenant.slo_class.name).inc()
+        self.stats.results_by_tenant[tenant.tenant_id, tenant.slo_class.name] += 1
         self._m.request_latency.labels(tenant.slo_class.name).observe(latency_s)
         request.connection.send(
             protocol.result_frame(request.request_id, result, node_id=self.node_id)
@@ -664,7 +708,6 @@ class GatewayServer:
         tenant.stats.failed += 1
         tenant.stats.in_flight -= 1
         self.stats.classify_errors += 1
-        self._m.classify_errors.inc()
         request.connection.send(
             protocol.error_frame(
                 "classify_failed", str(error), request_id=request.request_id
@@ -679,12 +722,10 @@ class GatewayServer:
     ) -> None:
         connection = _Connection(reader, writer, max_outbox=self.max_outbox_frames)
         self.stats.connections_total += 1
-        self._m.connections.inc()
         writer_task = asyncio.create_task(connection.write_loop())
         try:
             if not await self._handshake(connection):
                 self.stats.handshakes_rejected += 1
-                self._m.handshakes_rejected.inc()
                 return
             self._connections.add(connection)
             self._refresh_slo()
@@ -693,7 +734,6 @@ class GatewayServer:
             pass
         except ProtocolError as error:
             self.stats.protocol_errors += 1
-            self._m.protocol_errors.inc()
             connection.send(protocol.error_frame(error.code, str(error)))
         finally:
             self._connections.discard(connection)
@@ -709,20 +749,10 @@ class GatewayServer:
 
     async def _handshake(self, connection: _Connection) -> bool:
         """HELLO exchange; False (after an ERROR reply) on any rejection."""
-        try:
-            frame = await asyncio.wait_for(
-                protocol.read_frame(connection.reader), self.handshake_timeout_s
-            )
-        except VersionMismatch as error:
-            connection.send(protocol.error_frame(error.code, str(error)))
-            return False
-        if frame is None or frame.kind is not FrameType.HELLO:
-            connection.send(
-                protocol.error_frame("bad_handshake", "expected a HELLO frame first")
-            )
+        frame = await connection.read_hello(self.handshake_timeout_s)
+        if frame is None:
             return False
         tenant_id = str(frame.meta.get("tenant", "anonymous"))
-        connection.client_name = str(frame.meta.get("client", "?"))
         # Authenticate before resolve: a stranger with a bad token must
         # not materialise a tenant record (or learn whether the id is
         # known — the authenticator's decoy compare keeps timing flat).
@@ -730,7 +760,6 @@ class GatewayServer:
         token = raw_token if isinstance(raw_token, str) else None
         if not self.tenants.authenticate(tenant_id, token):
             self.stats.auth_failed += 1
-            self._m.auth_failed.inc()
             connection.send(
                 protocol.error_frame(
                     "auth_failed",
@@ -773,7 +802,7 @@ class GatewayServer:
             elif frame.kind is FrameType.RELOAD:
                 self._on_reload(connection)
             elif frame.kind is FrameType.TRACE:
-                self._on_trace(connection, frame)
+                answer_trace(connection, frame, self.tracer, self.stats)
             else:
                 connection.send(
                     protocol.error_frame(
@@ -785,13 +814,11 @@ class GatewayServer:
     def _on_submit(self, connection: _Connection, frame: Frame) -> None:
         tenant = connection.tenant
         assert tenant is not None
-        self.stats.submits += 1
-        self._m.submits.labels(tenant.tenant_id, tenant.slo_class.name).inc()
+        self.stats.submits_by_tenant[tenant.tenant_id, tenant.slo_class.name] += 1
         try:
             request_id, sample, deadline_ms = protocol.decode_submit(frame)
         except ProtocolError as error:
             self.stats.protocol_errors += 1
-            self._m.protocol_errors.inc()
             # The id is untrusted here (decode may have rejected it):
             # echo it only when it is actually an int.
             raw_id = frame.meta.get("id")
@@ -827,9 +854,7 @@ class GatewayServer:
         if self.quota is not None:
             reason = self.quota.check(tenant.tenant_id)
             if reason is not None:
-                self.stats.quota_exceeded += 1
-                self._m.quota_exceeded.labels(tenant.tenant_id).inc()
-                self._m.rejected.labels(tenant.tenant_id, "quota_exceeded").inc()
+                self.stats.rejections[tenant.tenant_id, "quota_exceeded"] += 1
                 if request.trace is not None:
                     request.trace.finish("shed", code="quota_exceeded")
                 connection.send(
@@ -846,8 +871,7 @@ class GatewayServer:
             request, now=request.received
         )
         for victim in victims:
-            self.stats.shed += 1
-            self._m.rejected.labels(victim.tenant.tenant_id, "shed").inc()
+            self.stats.rejections[victim.tenant.tenant_id, "shed"] += 1
             if victim.trace is not None:
                 victim.trace.finish("shed", code="shed")
             victim.connection.send(
@@ -858,13 +882,7 @@ class GatewayServer:
                 )
             )
         if not admitted:
-            if reject_code == "shed":
-                self.stats.shed += 1
-            elif reject_code == "rate_limited":
-                self.stats.rate_limited += 1
-            else:
-                self.stats.rejected += 1
-            self._m.rejected.labels(tenant.tenant_id, reject_code).inc()
+            self.stats.rejections[tenant.tenant_id, reject_code] += 1
             if request.trace is not None:
                 request.trace.finish("shed", code=reject_code)
             connection.send(
@@ -899,33 +917,9 @@ class GatewayServer:
         key = f"tenant::{tenant_id}"
         if registry.get(key) is not None:
             self.stats.tenant_model_hits += 1
-            self._m.tenant_model_hits.inc()
         else:
             self.stats.tenant_model_misses += 1
-            self._m.tenant_model_misses.inc()
             registry.put(key, self.engine.system)
-
-    def _on_trace(self, connection: _Connection, frame: Frame) -> None:
-        """Drain the trace ring into a TRACE reply."""
-        if self.tracer is None:
-            connection.send(
-                protocol.trace_frame(
-                    {"traces": [], "dropped": 0, "buffered": 0, "enabled": False}
-                )
-            )
-            return
-        limit = frame.meta.get("limit")
-        records = self.tracer.drain(None if limit is None else int(limit))
-        connection.send(
-            protocol.trace_frame(
-                {
-                    "traces": records,
-                    "dropped": self.tracer.dropped,
-                    "buffered": self.tracer.buffered,
-                    "enabled": True,
-                }
-            )
-        )
 
     def _on_reload(self, connection: _Connection) -> None:
         if self.reload_hook is None:
@@ -942,7 +936,6 @@ class GatewayServer:
             connection.send(protocol.error_frame("reload_failed", str(error)))
             return
         self.stats.reloads += 1
-        self._m.reloads.inc()
         connection.send(
             protocol.reload_frame(model_version=version, swapped=version != before)
         )

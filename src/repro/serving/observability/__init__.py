@@ -4,8 +4,9 @@ Three pieces, all pure stdlib:
 
 * :mod:`~repro.serving.observability.metrics` — a process-global
   :class:`MetricsRegistry` of Counter / Gauge / Histogram families with
-  labelled children, lock-cheap increments, and scrape-time collector
-  hooks for snapshot-shaped state.
+  labelled children and scrape-time collector hooks, plus the
+  :class:`StatsExporter` that publishes each component's stats
+  dataclass (the only place a count lives) as counter families.
 * :mod:`~repro.serving.observability.exporter` — Prometheus text
   exposition: :func:`render_text` (in-process scraping), the
   :class:`MetricsServer` ``/metrics`` side port
@@ -30,6 +31,7 @@ from repro.serving.observability.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    StatsExporter,
     get_metrics,
     set_metrics,
 )
@@ -48,6 +50,7 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "MetricsServer",
+    "StatsExporter",
     "TERMINALS",
     "TraceLog",
     "TraceRecord",

@@ -1,4 +1,4 @@
-"""Process-global metrics registry: Counter / Gauge / Histogram families.
+"""Process-global metrics registry, and the exporter that feeds it.
 
 The serving stack's operational state has always existed — scattered
 across ``EngineStats`` dataclasses, ``describe()`` dicts, and gateway
@@ -10,21 +10,26 @@ dashboard-shaped home:
   (``repro_gateway_submits_total{tenant, slo_class}``), created
   get-or-create style through :class:`MetricsRegistry` so every
   component that mentions a name shares one time series;
-* a **child** is one labelled series inside a family — the thing hot
-  paths actually increment.  Updates are a dict lookup plus an
-  arithmetic op under a per-child leaf lock: nothing blocking ever runs
-  under any metrics lock, so instrumented code keeps RC002's lock-order
-  rules trivially (metrics locks are always innermost and never wrap a
-  call-out);
-* **collectors** are zero-arg callables run at scrape time for state
-  that is naturally a snapshot (queue depths, worker health, arena
-  counts) rather than an event stream; they read component snapshots
-  *outside* every metrics lock and write plain gauges.
+* a **child** is one labelled series inside a family.  Updates are a
+  dict lookup plus an arithmetic op under a per-child leaf lock:
+  nothing blocking ever runs under any metrics lock, so instrumented
+  code keeps RC002's lock-order rules trivially (metrics locks are
+  always innermost and never wrap a call-out);
+* **collectors** are zero-arg callables run at scrape time.  They read
+  component state *outside* every registry lock and write children.
+
+Every count lives in exactly one place: a component's plain stats
+dataclass.  A stats field declares its counter family next to itself
+(:func:`counted` for a scalar, :func:`tally` for a per-label
+``Counter``), and a :class:`StatsExporter` publishes the declared
+fields as a collector, so a scrape cannot drift from the stats it
+reads.  Histograms and gauges stay instruments that hot paths (or
+collectors) write directly.
 
 A disabled registry (``MetricsRegistry(enabled=False)``) hands out
-shared null instruments whose methods are no-ops — the
-metrics-overhead benchmark's baseline leg, and the zero-cost path for
-embedders that want none of this.
+shared null instruments whose methods are no-ops and registers no
+collectors — the metrics-overhead benchmark's baseline leg, and the
+zero-cost path for embedders that want none of this.
 
 Rendering to Prometheus text exposition lives in
 :mod:`repro.serving.observability.exporter`; this module only owns the
@@ -33,6 +38,8 @@ state and its :meth:`MetricsRegistry.collect` snapshot.
 
 from __future__ import annotations
 
+import collections
+import dataclasses
 import threading
 from typing import Callable, Iterable, Mapping
 
@@ -42,8 +49,13 @@ __all__ = [
     "Gauge",
     "Histogram",
     "MetricsRegistry",
+    "StatsExporter",
+    "counted",
     "get_metrics",
+    "published",
     "set_metrics",
+    "tally",
+    "total",
 ]
 
 #: Fixed latency buckets (seconds) shared by every serving histogram —
@@ -156,20 +168,11 @@ class _HistogramChild:
         with self._lock:
             return self._count
 
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
 
 class _NullChild:
     """Shared no-op instrument handed out by a disabled registry."""
 
     __slots__ = ()
-
-    value = 0.0
-    count = 0
-    sum = 0.0
 
     def inc(self, amount: float = 1.0) -> None:
         pass
@@ -182,9 +185,6 @@ class _NullChild:
 
     def observe(self, value: float) -> None:
         pass
-
-    def snapshot(self) -> tuple[list[int], float, int]:
-        return [], 0.0, 0
 
 
 _NULL_CHILD = _NullChild()
@@ -264,10 +264,6 @@ class Counter(_Family):
     def inc(self, amount: float = 1.0) -> None:
         self._solo().inc(amount)
 
-    @property
-    def value(self) -> float:
-        return self._solo().value
-
 
 class Gauge(_Family):
     kind = "gauge"
@@ -283,10 +279,6 @@ class Gauge(_Family):
 
     def dec(self, amount: float = 1.0) -> None:
         self._solo().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._solo().value
 
 
 class Histogram(_Family):
@@ -314,15 +306,10 @@ class Histogram(_Family):
         self._solo().observe(value)
 
 
-class _NullFamily:
+class _NullFamily(_NullChild):
     """Disabled-registry family: every instrument call is a no-op."""
 
     __slots__ = ("name", "kind")
-
-    help = ""
-    labelnames: tuple[str, ...] = ()
-    buckets: tuple[float, ...] = ()
-    value = 0.0
 
     def __init__(self, name: str, kind: str) -> None:
         self.name = name
@@ -330,21 +317,6 @@ class _NullFamily:
 
     def labels(self, *_values: object, **_kwargs: object) -> _NullChild:
         return _NULL_CHILD
-
-    def children(self) -> list[tuple[tuple[str, ...], object]]:
-        return []
-
-    def inc(self, amount: float = 1.0) -> None:
-        pass
-
-    def dec(self, amount: float = 1.0) -> None:
-        pass
-
-    def set(self, value: float) -> None:
-        pass
-
-    def observe(self, value: float) -> None:
-        pass
 
 
 class MetricsRegistry:
@@ -470,6 +442,128 @@ class MetricsRegistry:
                     return float(child.count)
                 return float(child.value)
         return None
+
+
+#: Dataclass-field metadata key holding the counter families a stats
+#: field is published as: ``(tally label axes, families)``.
+_PUBLISHED = "repro_metrics"
+
+
+_Publication = collections.namedtuple("_Publication", "name help where")
+
+
+def published(name: str, help_text: str, **where: str) -> _Publication:
+    """One counter family a stats field is published as.
+
+    ``where`` fixes some of a tally's label axes: the family counts only
+    the matching entries and drops those axes (the gateway's
+    ``repro_gateway_quota_exceeded_total{tenant}`` is the
+    ``code="quota_exceeded"`` slice of its ``(tenant, code)`` tally).
+    """
+    return _Publication(name, help_text, tuple(where.items()))
+
+
+def counted(name: str, help_text: str):
+    """A scalar ``int`` stats field published as the counter ``name``."""
+    return dataclasses.field(default=0, metadata={_PUBLISHED: ((), (published(name, help_text),))})
+
+
+def tally(labelnames: tuple[str, ...], *families: _Publication, keys: Iterable = ()):
+    """A :class:`collections.Counter` stats field keyed by label value (a
+    tuple when there are several axes), published as ``families``.
+    ``keys`` start at 0, so their series are scraped before any event."""
+    seed = tuple(keys)
+    return dataclasses.field(
+        default_factory=lambda: collections.Counter(dict.fromkeys(seed, 0)),
+        metadata={_PUBLISHED: (tuple(labelnames), families)},
+    )
+
+
+def _slice(value, axes: tuple[str, ...], where: tuple, kept: tuple[str, ...]) -> dict:
+    """``{kept label values: count}``: a stats field's entries matching
+    ``where``, summed over the axes not ``kept``."""
+    if not axes:
+        return {(): value}
+    totals: dict[tuple, int] = {}
+    # dict.copy is one C call under the GIL: a consistent view of a
+    # tally the serving thread may be growing while a scraper reads.
+    for key, count in dict.copy(value).items():
+        labels = dict(zip(axes, key if isinstance(key, tuple) else (key,)))
+        if all(labels[axis] == wanted for axis, wanted in where):
+            kept_key = tuple(str(labels[axis]) for axis in kept)
+            totals[kept_key] = totals.get(kept_key, 0) + count
+    return totals
+
+
+def total(field_name: str, **where: str) -> property:
+    """A read-only stats property: the sum of a tally's entries whose
+    labels match ``where`` (all entries when empty)."""
+
+    def read(stats) -> int:
+        (axes,) = (
+            f.metadata[_PUBLISHED][0] for f in dataclasses.fields(stats) if f.name == field_name
+        )
+        return _slice(getattr(stats, field_name), axes, tuple(where.items()), ()).get((), 0)
+
+    return property(read, doc=f"Sum of ``{field_name}`` entries matching {where}.")
+
+
+class StatsExporter:
+    """Publishes one stats dataclass's declared fields at scrape time.
+
+    Each export folds the growth since the previous export into the
+    shared counter children, under this exporter's leaf lock: instances
+    sharing a registry add up, concurrent scrapes never double-count,
+    and counters never go backwards.  :meth:`close` exports once more
+    and unregisters, so counts survive the component.  ``labels`` are
+    constant labels prepended to every family.
+    """
+
+    def __init__(
+        self,
+        metrics: MetricsRegistry,
+        stats: object,
+        *,
+        labels: Mapping[str, str] | None = None,
+    ) -> None:
+        labels = dict(labels or {})
+        self._metrics = metrics
+        self._stats = stats
+        self._constants = tuple(str(value) for value in labels.values())
+        self._lock = threading.Lock()
+        #: (family name, label values) -> count already published.
+        self._exported: dict[tuple[str, tuple[str, ...]], int] = {}
+        #: (field, tally axes, family spec, kept axes, counter family).
+        plan: list[tuple[str, tuple[str, ...], _Publication, tuple, Counter]] = []
+        if metrics.enabled:
+            for spec in dataclasses.fields(stats):
+                axes, families = spec.metadata.get(_PUBLISHED, ((), ()))
+                for family in families:
+                    fixed = {axis for axis, _ in family.where}
+                    kept = tuple(axis for axis in axes if axis not in fixed)
+                    counter = metrics.counter(family.name, family.help, tuple(labels) + kept)
+                    plan.append((spec.name, axes, family, kept, counter))
+            metrics.register_collector(self.export)
+        self._plan = plan
+
+    def export(self) -> None:
+        """Publish the growth of every declared field since the last call."""
+        with self._lock:
+            for field_name, axes, family, kept, counter in self._plan:
+                value = getattr(self._stats, field_name)
+                for key, count in _slice(value, axes, family.where, kept).items():
+                    values = self._constants + key
+                    done = self._exported.get((family.name, values))
+                    if done is None or count > done:
+                        # First sight creates the series even at 0.
+                        counter.labels(*values).inc(count - (done or 0))
+                        self._exported[family.name, values] = count
+
+    def close(self) -> None:
+        """Final export, then stop publishing (idempotent)."""
+        self._metrics.unregister_collector(self.export)
+        self.export()
+        self._plan = []
 
 
 _GLOBAL_LOCK = threading.Lock()

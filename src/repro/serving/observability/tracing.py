@@ -37,12 +37,14 @@ from __future__ import annotations
 import json
 import threading
 import time
-from collections import deque
+from collections import Counter, deque
+from dataclasses import dataclass
 from typing import Any, Callable, TextIO
 
-from repro.serving.observability.metrics import MetricsRegistry, get_metrics
+from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
+from repro.serving.observability.metrics import published, tally
 
-__all__ = ["TERMINALS", "TraceLog", "TraceRecord", "Tracer"]
+__all__ = ["TERMINALS", "TraceLog", "TraceRecord", "TraceStats", "Tracer"]
 
 #: The three mutually exclusive ways a ticket's story ends.
 TERMINALS = ("delivered", "shed", "error")
@@ -207,6 +209,20 @@ class TraceLog:
                 self._file = None
 
 
+@dataclass
+class TraceStats:
+    """The tracer's counters; written under the tracer's lock."""
+
+    terminals: Counter = tally(
+        ("terminal",),
+        published("repro_traces_total", "Terminal trace records by outcome"),
+    )
+    dropped: int = counted(
+        "repro_trace_buffer_dropped_total",
+        "Terminal trace records evicted from the ring before a drain",
+    )
+
+
 class Tracer:
     """Begin / finish trace records; keep the last ``capacity`` of them.
 
@@ -233,18 +249,10 @@ class Tracer:
         self.sink = sink
         self._lock = threading.Lock()
         self._ring: deque[dict[str, Any]] = deque(maxlen=capacity)
-        self._dropped = 0
+        self.stats = TraceStats()
         self._next_id = 1
         metrics = metrics if metrics is not None else get_metrics()
-        self._m_terminals = metrics.counter(
-            "repro_traces_total",
-            "Terminal trace records by outcome",
-            ("terminal",),
-        )
-        self._m_dropped = metrics.counter(
-            "repro_trace_buffer_dropped_total",
-            "Terminal trace records evicted from the ring before a drain",
-        )
+        StatsExporter(metrics, self.stats)
         self._m_buffered = metrics.gauge(
             "repro_trace_buffer_size",
             "Terminal trace records currently buffered",
@@ -289,10 +297,9 @@ class Tracer:
             record.finished = now
             entry = record.to_dict()
             if len(self._ring) == self._ring.maxlen:
-                self._dropped += 1
-                self._m_dropped.inc()
+                self.stats.dropped += 1
             self._ring.append(entry)
-        self._m_terminals.labels(terminal=terminal).inc()
+            self.stats.terminals[terminal] += 1
         sink = self.sink
         if sink is not None:
             sink.write(entry)  # file IO stays outside the ring lock
@@ -302,7 +309,7 @@ class Tracer:
     @property
     def dropped(self) -> int:
         with self._lock:
-            return self._dropped
+            return self.stats.dropped
 
     @property
     def buffered(self) -> int:

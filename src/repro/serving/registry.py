@@ -43,23 +43,28 @@ from repro.core.persistence import (
 )
 from repro.core.pipeline import GesturePrint
 from repro.nn.serialization import flat_dtype_for
-from repro.serving.observability.metrics import MetricsRegistry, get_metrics
+from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
 
 
 @dataclass
 class RegistryStats:
     """Cache-effectiveness counters."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
-    loads: int = 0
-    saves: int = 0
-    fits: int = 0
-    arena_exports: int = 0
+    hits: int = counted("repro_registry_hits_total", "Cache lookups served from memory.")
+    misses: int = counted("repro_registry_misses_total", "Cache lookups that missed.")
+    evictions: int = counted("repro_registry_evictions_total", "LRU evictions of resident systems.")
+    loads: int = counted("repro_registry_loads_total", "Checkpoint loads from disk.")
+    saves: int = counted("repro_registry_saves_total", "Checkpoint saves to disk.")
+    fits: int = counted("repro_registry_fits_total", "Fresh fits via get_or_fit factories.")
+    arena_exports: int = counted(
+        "repro_registry_arena_exports_total", "Flat weight-arena bundles exported to disk."
+    )
     #: Superseded weight bundles whose file + mapping were actually
     #: deleted by the arena garbage collector.
-    retired_arenas: int = 0
+    retired_arenas: int = counted(
+        "repro_registry_retired_arenas_total",
+        "Superseded arena bundles garbage collected (file deleted).",
+    )
 
 
 class ModelRegistry:
@@ -86,32 +91,9 @@ class ModelRegistry:
         self.stats = RegistryStats()
         self._metrics = metrics if metrics is not None else get_metrics()
         m = self._metrics
-        self._m_hits = m.counter(
-            "repro_registry_hits_total", "Cache lookups served from memory."
-        ).labels()
-        self._m_misses = m.counter(
-            "repro_registry_misses_total", "Cache lookups that missed."
-        ).labels()
-        self._m_evictions = m.counter(
-            "repro_registry_evictions_total", "LRU evictions of resident systems."
-        ).labels()
-        self._m_loads = m.counter(
-            "repro_registry_loads_total", "Checkpoint loads from disk."
-        ).labels()
-        self._m_saves = m.counter(
-            "repro_registry_saves_total", "Checkpoint saves to disk."
-        ).labels()
-        self._m_fits = m.counter(
-            "repro_registry_fits_total", "Fresh fits via get_or_fit factories."
-        ).labels()
-        self._m_exports = m.counter(
-            "repro_registry_arena_exports_total",
-            "Flat weight-arena bundles exported to disk.",
-        ).labels()
-        self._m_retired = m.counter(
-            "repro_registry_retired_arenas_total",
-            "Superseded arena bundles garbage collected (file deleted).",
-        ).labels()
+        # The exporter holds only the stats object, so a dropped registry
+        # is still garbage collected (see the weakref collector below).
+        StatsExporter(m, self.stats)
         self._g_resident = m.gauge(
             "repro_registry_resident", "Systems currently cached in memory."
         ).labels()
@@ -200,11 +182,9 @@ class ModelRegistry:
         system = self._cache.get(key)
         if system is None:
             self.stats.misses += 1
-            self._m_misses.inc()
             return None
         self._cache.move_to_end(key)
         self.stats.hits += 1
-        self._m_hits.inc()
         return system
 
     def put(self, key: str, system: GesturePrint) -> GesturePrint:
@@ -220,7 +200,6 @@ class ModelRegistry:
             self._mtimes.pop(evicted, None)
             self._retire_key_arenas(evicted)
             self.stats.evictions += 1
-            self._m_evictions.inc()
         return system
 
     def evict(self, key: str) -> bool:
@@ -286,7 +265,6 @@ class ModelRegistry:
         off-lock deletion cannot double-free."""
         self._arena_pinned.discard(bundle)
         self.stats.retired_arenas += 1
-        self._m_retired.inc()
         return bundle
 
     @staticmethod
@@ -378,7 +356,6 @@ class ModelRegistry:
                 self._arena_root.name, f"arena-{self.stats.arena_exports}"
             )
             self.stats.arena_exports += 1
-            self._m_exports.inc()
         # The export (full weight serialisation to disk) and the doomed
         # predecessor's deletion run OUTSIDE the lock: a worker pool's
         # supervisor calls decref_arena while holding its own pool lock,
@@ -464,13 +441,10 @@ class ModelRegistry:
         if cached is not None and self._mtimes.get(key) == self._manifest_mtime(directory):
             self._cache.move_to_end(key)
             self.stats.hits += 1
-            self._m_hits.inc()
             return cached
         self.stats.misses += 1
-        self._m_misses.inc()
         system = load_system(directory)
         self.stats.loads += 1
-        self._m_loads.inc()
         self._mtimes[key] = self._manifest_mtime(directory)
         self.put(key, system)
         if cached is not None and on_change is not None:
@@ -483,7 +457,6 @@ class ModelRegistry:
         """Persist a fitted system and cache it under the checkpoint path."""
         save_system(system, directory)
         self.stats.saves += 1
-        self._m_saves.inc()
         key = self._path_key(directory)
         self._mtimes[key] = self._manifest_mtime(directory)
         return self.put(key, system)
@@ -510,7 +483,6 @@ class ModelRegistry:
         if directory is not None and (pathlib.Path(directory) / MANIFEST_NAME).exists():
             system = load_system(directory)
             self.stats.loads += 1
-            self._m_loads.inc()
             # Record the manifest mtime and cache under the resolved path
             # too, so a later ``load()`` of the same checkpoint warm-hits
             # instead of always seeing a staleness mismatch.
@@ -521,13 +493,11 @@ class ModelRegistry:
             return self.put(key, system)
         system = factory()
         self.stats.fits += 1
-        self._m_fits.inc()
         if system.gesture_model is None:
             raise ValueError("factory returned an unfitted system")
         if directory is not None:
             save_system(system, directory)
             self.stats.saves += 1
-            self._m_saves.inc()
             path_key = self._path_key(directory)
             self._mtimes[path_key] = self._manifest_mtime(directory)
             if path_key != key:

@@ -61,7 +61,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Callable, Deque
 
-from repro.serving.observability.metrics import MetricsRegistry, get_metrics
+from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
 
 
 def request_order(
@@ -82,12 +82,23 @@ def request_order(
 class SchedulerStats:
     """Why batches were released, plus the adaptation state."""
 
-    depth_flushes: int = 0
-    deadline_flushes: int = 0
+    depth_flushes: int = counted(
+        "repro_scheduler_depth_flushes_total",
+        "Batches released because the queue hit the batch limit",
+    )
+    deadline_flushes: int = counted(
+        "repro_scheduler_deadline_flushes_total",
+        "Batches released to protect the earliest pending deadline",
+    )
     #: Batches released below the limit, ahead of any deadline, because
     #: a backend slot was free (see :meth:`BatchScheduler.note_idle_flush`).
-    idle_flushes: int = 0
-    observed_batches: int = 0
+    idle_flushes: int = counted(
+        "repro_scheduler_idle_flushes_total",
+        "Batches released at once because a backend slot was free",
+    )
+    observed_batches: int = counted(
+        "repro_scheduler_observed_batches_total", "Batch latency observations fed to the EWMA model"
+    )
     #: Batches excluded from the latency model because a worker crash
     #: forced a redispatch (their wall time prices the crash recovery,
     #: not the backend's steady-state cost).
@@ -99,7 +110,11 @@ class SchedulerStats:
     #: Delivered-latency samples kept out of the p95 sliding window
     #: (rides of retried or hedged batches — see
     #: ``record_queue_latency(excluded=...)``).
-    excluded_latency_samples: int = 0
+    excluded_latency_samples: int = counted(
+        "repro_scheduler_excluded_latency_samples_total",
+        "Delivered-latency samples kept out of the p95 window "
+        "(rides of retried or hedged batches)",
+    )
     #: Safety-margin controller activity (see ``adapt_margin``).
     margin_widened: int = 0
     margin_narrowed: int = 0
@@ -160,7 +175,8 @@ class BatchScheduler:
     metrics:
         :class:`~repro.serving.observability.metrics.MetricsRegistry` to
         instrument against (default: the process-global one).  Flush
-        triggers and exclusions are counted inline; the adaptation state
+        triggers and exclusions are :class:`SchedulerStats` fields,
+        published at scrape time; the adaptation state
         (batch limit, margin, learned model, queue p95) is exported as
         gauges refreshed at scrape time from :meth:`snapshot`.
     """
@@ -221,27 +237,7 @@ class BatchScheduler:
         self._mwait = 0.0
         self._wait_fitted = False
         metrics = metrics if metrics is not None else get_metrics()
-        self._m_depth_flushes = metrics.counter(
-            "repro_scheduler_depth_flushes_total",
-            "Batches released because the queue hit the batch limit",
-        )
-        self._m_deadline_flushes = metrics.counter(
-            "repro_scheduler_deadline_flushes_total",
-            "Batches released to protect the earliest pending deadline",
-        )
-        self._m_idle_flushes = metrics.counter(
-            "repro_scheduler_idle_flushes_total",
-            "Batches released at once because a backend slot was free",
-        )
-        self._m_observed = metrics.counter(
-            "repro_scheduler_observed_batches_total",
-            "Batch latency observations fed to the EWMA model",
-        )
-        self._m_excluded = metrics.counter(
-            "repro_scheduler_excluded_latency_samples_total",
-            "Delivered-latency samples kept out of the p95 window "
-            "(rides of retried or hedged batches)",
-        )
+        StatsExporter(metrics, self.stats)
         self._m_gauges = {
             key: metrics.gauge(f"repro_scheduler_{key}", help_text)
             for key, help_text in (
@@ -327,11 +323,9 @@ class BatchScheduler:
             return False
         if depth >= self.batch_limit:
             self.stats.depth_flushes += 1
-            self._m_depth_flushes.inc()
             return True
         if slack_s is not None and slack_s <= self.predicted_latency_s(depth) + self.margin_s:
             self.stats.deadline_flushes += 1
-            self._m_deadline_flushes.inc()
             return True
         return False
 
@@ -342,7 +336,6 @@ class BatchScheduler:
         so every release is counted under exactly one reason.
         """
         self.stats.idle_flushes += 1
-        self._m_idle_flushes.inc()
 
     # ------------------------------------------------------------------
     def bind_backend(self, name: str, slots: int = 1) -> None:
@@ -420,7 +413,6 @@ class BatchScheduler:
             self._mxx = (1 - a) * self._mxx + a * batch_size * batch_size
             self._mxy = (1 - a) * self._mxy + a * batch_size * latency_s
         self.stats.observed_batches += 1
-        self._m_observed.inc()
         wall = self.stats.wall_window
         wall.append(float(latency_s))
         while len(wall) > self._window:
@@ -443,7 +435,6 @@ class BatchScheduler:
         """
         if excluded:
             self.stats.excluded_latency_samples += 1
-            self._m_excluded.inc()
             return
         window = self.stats.queue_window
         window.append(latency_s)

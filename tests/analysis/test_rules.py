@@ -525,6 +525,50 @@ def test_rc007_near_miss_bounded_and_drained(tmp_path):
     assert findings == []
 
 
+def test_rc007_flags_metric_inc_in_serving(tmp_path):
+    findings = scan(
+        tmp_path,
+        "src/repro/serving/gateway/widgets.py",
+        """
+        class Server:
+            def __init__(self, metrics):
+                self.submits = 0
+                self._m_submits = metrics.counter("repro_submits_total", "h")
+
+            def on_submit(self):
+                self.submits += 1
+                self._m_submits.labels("tenant").inc()
+        """,
+        "RC007",
+    )
+    assert [f.rule for f in findings] == ["RC007"]
+    assert "count in the stats object; the exporter publishes it" in findings[0].message
+
+
+def test_rc007_near_miss_inc_in_observability_and_gauge_set(tmp_path):
+    exporter = scan(
+        tmp_path,
+        "src/repro/serving/observability/widgets.py",
+        """
+        def publish(counter, done, total):
+            counter.labels().inc(total - done)
+        """,
+        "RC007",
+    )
+    gauges = scan(
+        tmp_path,
+        "src/repro/serving/engine_widgets.py",
+        """
+        class Engine:
+            def collect(self, gauge):
+                self.requests += 1  # a stats field, not a metric
+                gauge.set(len(self.pending))
+        """,
+        "RC007",
+    )
+    assert exporter == [] and gauges == []
+
+
 def test_rc007_scoped_to_serving(tmp_path):
     findings = scan(
         tmp_path,

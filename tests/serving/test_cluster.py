@@ -21,7 +21,8 @@ from repro.serving.gateway import (
     GatewayServer,
     protocol,
 )
-from repro.serving.gateway.protocol import FrameType
+from repro.serving.gateway.protocol import Frame, FrameType
+from repro.serving.observability import MetricsRegistry, Tracer
 
 from .test_backends import GateBackend
 
@@ -228,8 +229,42 @@ class TestRouting:
                     await client.aclose()
                 # One tenant's load spreads over both shards — the
                 # anti-affinity control arm.
-                assert router._forwarded_by_node.get("a", 0) > 0
-                assert router._forwarded_by_node.get("b", 0) > 0
+                assert router.stats.forwarded_by_node["a"] > 0
+                assert router.stats.forwarded_by_node["b"] > 0
+            finally:
+                await router.aclose()
+                for server in servers.values():
+                    await server.aclose()
+
+        asyncio.run(run())
+
+    def test_malformed_trace_limit_gets_error_frame_not_eof(self, fitted, toy_data):
+        """Regression: a non-int TRACE ``limit`` used to kill the client
+        connection at the router edge with no ERROR frame."""
+        samples = _samples(toy_data, 1)
+
+        async def run():
+            servers, shards = await _start_shards(fitted, ["a"], metrics=MetricsRegistry())
+            metrics = MetricsRegistry()
+            router = ClusterRouter(
+                shards, heartbeat_s=0.2, metrics=metrics, tracer=Tracer(metrics=metrics)
+            )
+            try:
+                host, port = await router.start()
+                client = await AsyncGatewayClient.connect(host, port, tenant="t")
+                try:
+                    await client._request(Frame(FrameType.TRACE, {"limit": "abc"}))
+                    with pytest.raises(GatewayError) as excinfo:
+                        await asyncio.wait_for(client._expect(FrameType.TRACE), 5.0)
+                    assert excinfo.value.code == "bad_trace"
+                    await client.classify(samples[0], deadline_ms=0.0)
+                    reply = await asyncio.wait_for(client.traces(limit=5), 5.0)
+                    assert [t["terminal"] for t in reply["traces"]] == ["delivered"]
+                    stats = await client.stats()
+                    assert stats["router"]["protocol_errors"] == 1
+                finally:
+                    await client.aclose()
+                assert metrics.get_sample("repro_router_protocol_errors_total") == 1.0
             finally:
                 await router.aclose()
                 for server in servers.values():

@@ -391,6 +391,28 @@ class TestGatewayTraces:
                       slo_class="standard") == 5.0
         assert sample(parsed, "repro_traces_total", terminal="delivered") == 5.0
 
+    def test_malformed_trace_limit_gets_error_frame_not_eof(self, fitted, toy_data):
+        """Regression: a non-int TRACE ``limit`` used to raise out of the
+        frame loop and drop the connection with no ERROR frame."""
+        from repro.serving.gateway.client import GatewayClient
+        from repro.serving.gateway.protocol import Frame, FrameType
+        from repro.serving.gateway.server import BackgroundGateway, GatewayServer
+
+        x, _, _ = toy_data
+        metrics = MetricsRegistry()
+        server = GatewayServer(fitted, metrics=metrics, tracer=Tracer(metrics=metrics))
+        with BackgroundGateway(server) as (host, port):
+            with GatewayClient(host, port, tenant="edge-1") as client:
+                for limit in ("abc", -1, True, 2.5):
+                    client._send(Frame(FrameType.TRACE, {"limit": limit}))
+                    reply = client._read()
+                    assert reply.kind is FrameType.ERROR
+                    assert reply.meta["code"] == "bad_trace"
+                client.classify(x[0])  # the connection is still open
+                assert len(client.traces(limit=5)["traces"]) == 1
+                assert client.stats()["gateway"]["protocol_errors"] == 4
+        assert metrics.get_sample("repro_gateway_protocol_errors_total") == 4.0
+
     def test_trace_frame_without_tracer_reports_disabled(self, fitted, toy_data):
         from repro.serving.gateway.client import GatewayClient
         from repro.serving.gateway.server import BackgroundGateway, GatewayServer
