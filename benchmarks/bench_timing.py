@@ -8,8 +8,12 @@ interaction budget.
 Here the same three stages of this reproduction are measured on the
 local CPU.  Shape: total processing time stays below the average gesture
 duration.  This file also carries the only true micro-benchmarks in the
-suite (pytest-benchmark timing of preprocessing and inference).
+suite (pytest-benchmark timing of preprocessing and inference) and the
+median wall time of one ``GesturePrint.predict`` call at batch sizes
+1/8/32 — the in-process cost of a served micro-batch.
 """
+
+import time
 
 import numpy as np
 import pytest
@@ -27,11 +31,15 @@ from repro.preprocessing.pipeline import normalize_cloud
 
 
 @pytest.fixture(scope="module")
-def fitted_system():
-    dataset = build_selfcollected(
+def dataset():
+    return build_selfcollected(
         num_users=3, num_gestures=3, reps=8, environments=("office",),
         num_points=64, seed=19,
     )
+
+
+@pytest.fixture(scope="module")
+def fitted_system(dataset):
     config = bench_config(epochs=10)
     return GesturePrint(config).fit(
         dataset.inputs, dataset.gesture_labels, dataset.user_labels
@@ -102,3 +110,29 @@ def test_inference_microbench(benchmark, fitted_system, recordings):
     sample = normalize_cloud(cloud, 64, rng)[None, ...]
     probs = benchmark(lambda: predict_proba(fitted_system.gesture_model, sample))
     assert probs.shape[1] == fitted_system.num_gestures
+
+
+PREDICT_BATCHES = (1, 8, 32)
+PREDICT_REPS = 15
+
+
+def test_predict_batch_latency(fitted_system, dataset):
+    """Median ms per ``GesturePrint.predict`` call at each batch size."""
+    widths = (8, 16, 14)
+    lines = [
+        "GesturePrint.predict — median wall time per call (gesture + ID forwards)",
+        format_row(("batch", "median ms/call", "ms per row"), widths),
+    ]
+    for batch in PREDICT_BATCHES:
+        inputs = dataset.inputs[np.resize(np.arange(len(dataset.inputs)), batch)]
+        fitted_system.predict(inputs)  # warm-up
+        times = []
+        for _ in range(PREDICT_REPS):
+            start = time.perf_counter()
+            fitted_system.predict(inputs)
+            times.append(time.perf_counter() - start)
+        median_ms = 1000.0 * float(np.median(times))
+        lines.append(
+            format_row((batch, f"{median_ms:.2f}", f"{median_ms / batch:.3f}"), widths)
+        )
+    emit("timing_predict", lines)

@@ -28,7 +28,8 @@ from repro.nn.losses import softmax_probabilities
 
 def _posteriors(model: GesIDNet, inputs: np.ndarray, geometry: Geometry) -> np.ndarray:
     """Primary-head probabilities of one chunk on a precomputed geometry."""
-    model.eval()
+    if model.training:  # eval() walks the whole module tree, so only when needed
+        model.eval()
     primary, _ = model(inputs, geometry)
     return softmax_probabilities(primary)
 

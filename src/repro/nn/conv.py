@@ -2,7 +2,8 @@
 
 A shared MLP applies the same ``Linear`` transform to every point in a
 ``(batch, channels, num_points)`` tensor — equivalent to a 1x1 Conv1d —
-followed by batch-norm and ReLU.
+followed by batch-norm and ReLU.  In eval mode the batch-norm is folded
+into the conv (Jacob et al., CVPR 2018), so each block is one matmul.
 """
 
 from __future__ import annotations
@@ -34,15 +35,27 @@ class Conv1x1(Module):
         self._input: np.ndarray | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        bias = None if self.bias is None else self.bias.data
+        return self.forward_affine(x, self.weight.data, bias)
+
+    def forward_affine(
+        self, x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None
+    ) -> np.ndarray:
+        """``weight @ x + bias`` with this conv's shape check and cache.
+
+        ``forward`` passes the conv's own parameters; :class:`SharedMLP`
+        passes batch-norm-folded ones.  Either way backward sees the same
+        ``_input``.
+        """
         x = as_compute(x)
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv1x1 expected (batch, {self.in_channels}, points), got {x.shape}"
             )
         self._input = x
-        out = np.matmul(self.weight.data, x)  # (o,c) @ (b,c,n) -> (b,o,n)
-        if self.bias is not None:
-            out += self.bias.data[None, :, None]
+        out = np.matmul(weight, x)  # (o,c) @ (b,c,n) -> (b,o,n)
+        if bias is not None:
+            out += bias[None, :, None]
         return out
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
@@ -58,16 +71,25 @@ class Conv1x1(Module):
 class SharedMLP(Module):
     """Stack of Conv1x1 -> BatchNorm -> ReLU blocks.
 
-    Every ReLU here follows a block that just allocated its output, so
-    the MLP owns that array and rectifies it in place
+    ``blocks`` stays the flat ``[conv, norm, relu, conv, norm, relu, ...]``
+    list, so parameter names (``blocks.N.weight``) are stable.  Every
+    ReLU here follows a block that just allocated its output, so the MLP
+    owns that array and rectifies it in place
     (:meth:`ReLU.forward_owned`); the caller's input is never written.
+
+    Train mode runs the blocks one by one.  Eval mode folds each
+    batch-norm into its conv: with ``scale = gamma / sqrt(var + eps)``,
+    ``W' = W * scale[:, None]`` and ``b' = (b - mean) * scale + beta``,
+    so a block is one matmul, one in-place bias add and the ReLU.  The
+    folded values are rebuilt every forward (O(out*in)) rather than
+    cached, for the reason :meth:`Linear._transposed_weight` gives:
+    optimizers and gradient checks mutate ``weight.data`` in place.
     """
 
     def __init__(
         self,
         channels: list[int],
         *,
-        batch_norm: bool = True,
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__()
@@ -75,19 +97,33 @@ class SharedMLP(Module):
             raise ValueError("SharedMLP needs at least in and out channels")
         self.blocks: list[Module] = []
         for in_ch, out_ch in zip(channels[:-1], channels[1:]):
-            self.blocks.append(Conv1x1(in_ch, out_ch, rng=rng))
-            if batch_norm:
-                self.blocks.append(BatchNorm(out_ch))
-            self.blocks.append(ReLU())
+            self.blocks += [Conv1x1(in_ch, out_ch, rng=rng), BatchNorm(out_ch), ReLU()]
+        self._folded = False
+
+    def _triples(self):
+        return zip(self.blocks[0::3], self.blocks[1::3], self.blocks[2::3])
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        for block in self.blocks:
-            x = block.forward_owned(x) if isinstance(block, ReLU) else block(x)
+        self._folded = not self.training
+        for conv, norm, relu in self._triples():
+            if self._folded:
+                scale = norm.gamma.data / np.sqrt(norm.running_var + norm.eps)
+                weight = conv.weight.data * scale[:, None]
+                bias = (conv.bias.data - norm.running_mean) * scale + norm.beta.data
+                x = relu.forward_owned(conv.forward_affine(x, weight, bias))
+            else:
+                x = relu.forward_owned(norm(conv(x)))
         return x
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
-        for block in reversed(self.blocks):
-            grad_output = block.backward(grad_output)
+        for conv, norm, relu in reversed(list(self._triples())):
+            grad_output = relu.backward(grad_output)
+            if self._folded:
+                # The folded forward never materialised the batch-norm
+                # input; rebuild it (and the norm's eval cache) from the
+                # conv's cached input.
+                norm(conv(conv._input))
+            grad_output = conv.backward(norm.backward(grad_output))
         return grad_output
 
 

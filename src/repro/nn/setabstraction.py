@@ -175,20 +175,18 @@ class MultiScaleSetAbstraction(Module):
             if features is not None:
                 grouped_feat = group_points(np.transpose(features, (0, 2, 1)), group_idx)
                 local = np.concatenate([local, grouped_feat], axis=-1)
-            # (batch, centers, neighbors, C+3) -> (batch, C+3, centers*neighbors)
-            stacked = np.transpose(local, (0, 3, 1, 2)).reshape(
-                batch, local.shape[-1], self.num_centers * spec.max_neighbors
+            # Neighbor-major columns: (batch, centers, neighbors, C+3) ->
+            # (batch, C+3, neighbors*centers), so the pool below is an
+            # elementwise max over `neighbors` contiguous (C, centers) slabs.
+            stacked = np.transpose(local, (0, 3, 2, 1)).reshape(
+                batch, local.shape[-1], spec.max_neighbors * self.num_centers
             )
             transformed = mlp(stacked)
             per_group = transformed.reshape(
-                batch, transformed.shape[1], self.num_centers, spec.max_neighbors
+                batch, transformed.shape[1], spec.max_neighbors, self.num_centers
             )
-            argmax = per_group.argmax(axis=3)
-            pooled = np.take_along_axis(per_group, argmax[..., None], axis=3)[..., 0]
-            scale_outputs.append(pooled)
-            cache["scale"].append(
-                {"group_idx": group_idx, "argmax": argmax, "neighbors": spec.max_neighbors}
-            )
+            scale_outputs.append(per_group.max(axis=2))
+            cache["scale"].append({"group_idx": group_idx, "per_group": per_group})
         self._cache = cache
         return grouping.centers, np.concatenate(scale_outputs, axis=1)
 
@@ -217,18 +215,21 @@ class MultiScaleSetAbstraction(Module):
             width = spec.mlp_channels[-1]
             grad_scale = grad_features[:, offset : offset + width, :]
             offset += width
-            neighbors = scale_cache["neighbors"]
-            argmax = scale_cache["argmax"]
-            grad_groups = np.zeros((batch, width, self.num_centers, neighbors))
-            np.put_along_axis(grad_groups, argmax[..., None], grad_scale[..., None], axis=3)
-            grad_stacked = grad_groups.reshape(batch, width, self.num_centers * neighbors)
+            per_group = scale_cache["per_group"]
+            neighbors = per_group.shape[2]
+            # The pooled value came from the first max of each group.
+            argmax = per_group.argmax(axis=2)
+            grad_groups = np.zeros((batch, width, neighbors, self.num_centers))
+            np.put_along_axis(grad_groups, argmax[:, :, None], grad_scale[:, :, None], axis=2)
+            grad_stacked = grad_groups.reshape(batch, width, neighbors * self.num_centers)
             grad_local = mlp.backward(grad_stacked)
             if grad_input is not None:
-                # Drop the 3 coordinate channels, scatter-add feature grads.
+                # Drop the 3 coordinate channels, scatter-add feature grads
+                # back in group_idx's (centers, neighbors) order.
                 grad_feat_groups = grad_local[:, 3:, :].reshape(
-                    batch, self.in_channels, self.num_centers, neighbors
+                    batch, self.in_channels, neighbors, self.num_centers
                 )
-                contributions = np.transpose(grad_feat_groups, (0, 2, 3, 1)).reshape(
+                contributions = np.transpose(grad_feat_groups, (0, 3, 2, 1)).reshape(
                     batch, -1, self.in_channels
                 )
                 flat_idx = scale_cache["group_idx"].reshape(batch, -1)

@@ -5,6 +5,19 @@ import pytest
 
 from repro.nn import Conv1x1, SharedMLP
 from repro.nn.conv import MaxPoolPoints
+from tests.nn.gradcheck import assert_grads_match
+
+
+def _eval_mlp(seed=2):
+    """A [3, 6, 4] MLP in eval mode with non-trivial running stats and affine."""
+    mlp = SharedMLP([3, 6, 4], rng=np.random.default_rng(seed))
+    mlp.train()
+    mlp(np.random.default_rng(seed + 1).normal(size=(4, 3, 9)))
+    rng = np.random.default_rng(seed + 2)
+    for norm in mlp.blocks[1::3]:
+        norm.gamma.data[:] = rng.uniform(0.5, 1.5, size=norm.num_features)
+        norm.beta.data[:] = rng.normal(scale=0.3, size=norm.num_features)
+    return mlp.eval()
 
 
 class TestConv1x1:
@@ -78,10 +91,6 @@ class TestSharedMLP:
         with pytest.raises(ValueError):
             SharedMLP([4])
 
-    def test_without_batchnorm(self):
-        mlp = SharedMLP([3, 4], batch_norm=False, rng=np.random.default_rng(0))
-        assert mlp(np.zeros((1, 3, 2))).shape == (1, 4, 2)
-
     def test_backward_shape(self):
         mlp = SharedMLP([3, 4], rng=np.random.default_rng(0))
         x = np.random.default_rng(1).normal(size=(2, 3, 5))
@@ -96,6 +105,34 @@ class TestSharedMLP:
         before = x.copy()
         mlp(x)
         np.testing.assert_array_equal(x, before)
+
+    def test_blocks_are_conv_norm_relu_triples(self):
+        mlp = SharedMLP([3, 8, 16], rng=np.random.default_rng(0))
+        kinds = [type(block).__name__ for block in mlp.blocks]
+        assert kinds == ["Conv1x1", "BatchNorm", "ReLU"] * 2
+        names = [name for name, _ in mlp.named_parameters()]
+        assert "blocks.0.weight" in names and "blocks.4.gamma" in names
+
+    def test_eval_fold_tracks_in_place_weight_updates(self):
+        mlp = _eval_mlp()
+        x = np.random.default_rng(9).normal(size=(2, 3, 5))
+        before = mlp(x).copy()
+        mlp.blocks[1].gamma.data *= 2.0  # an optimizer step writes in place
+        assert not np.allclose(mlp(x), before)
+
+    def test_eval_parameter_gradients_match_numeric(self):
+        mlp = _eval_mlp()
+        rng = np.random.default_rng(7)
+        x = rng.normal(size=(2, 3, 5))
+        grad_out = rng.normal(size=(2, 4, 5))
+
+        def loss_and_backward():
+            mlp.zero_grad()
+            loss = float((mlp(x) * grad_out).sum())
+            mlp.backward(grad_out)
+            return loss
+
+        assert_grads_match(mlp, loss_and_backward, stride=1, tol=1e-6)
 
     def test_eval_input_gradient_matches_numeric(self):
         mlp = SharedMLP([3, 6, 4], rng=np.random.default_rng(2))

@@ -99,6 +99,52 @@ class TestMultiScaleSetAbstraction:
         np.testing.assert_allclose(analytic, numeric, atol=1e-5)
 
 
+    def test_pool_gradient_goes_to_first_of_tied_neighbors(self):
+        # Points 1 and 2 are exact duplicates, so their MLP columns tie in
+        # every channel; the pooled gradient must reach only the first.
+        block = MultiScaleSetAbstraction(
+            num_centers=1,
+            in_channels=2,
+            scales=[ScaleSpec(radius=10.0, max_neighbors=3, mlp_channels=(6, 5))],
+            rng=np.random.default_rng(6),
+        ).eval()
+        point = [0.3, -0.2, 0.1]
+        coords = np.array([[[0.0, 0.0, 0.0], point, point]])
+        feats = np.array([[[0.1, 3.0, 3.0], [-0.4, -2.0, -2.0]]])
+        grad_out = np.random.default_rng(7).normal(size=(1, 5, 1))
+        block(coords, feats)
+        grad = block.backward(grad_out)
+        assert np.any(grad[0, :, 1] != 0.0)
+        np.testing.assert_array_equal(grad[0, :, 2], 0.0)
+        # Without the duplicate the third slot pads with point 0, whose
+        # ties go to point 0's own first slot: the same gradients result.
+        block(coords[:, :2], feats[:, :, :2])
+        np.testing.assert_allclose(grad[:, :, :2], block.backward(grad_out), rtol=1e-12)
+
+    def test_pooling_is_the_group_max(self):
+        block = _block(rng=np.random.default_rng(8)).eval()
+        rng = np.random.default_rng(9)
+        coords = rng.normal(size=(2, 10, 3))
+        feats = rng.normal(size=(2, 2, 10))
+        centers, out = block(coords, feats)
+        grouping = block.group(coords)
+        offset = 0
+        for spec, mlp, idx, local in zip(
+            block.scales, block.mlps, grouping.group_idx, grouping.local
+        ):
+            grouped = np.concatenate(
+                [local, np.transpose(feats, (0, 2, 1))[np.arange(2)[:, None, None], idx]],
+                axis=-1,
+            )
+            for c in range(block.num_centers):
+                columns = np.transpose(grouped[:, c], (0, 2, 1))  # (batch, C+3, neighbors)
+                width = spec.mlp_channels[-1]
+                np.testing.assert_allclose(
+                    out[:, offset : offset + width, c], mlp(columns).max(axis=2), atol=1e-12
+                )
+            offset += spec.mlp_channels[-1]
+
+
 class TestGlobalFeatureExtractor:
     def test_output_shape(self):
         extractor = GlobalFeatureExtractor(4, (8, 6), rng=np.random.default_rng(0))
