@@ -7,7 +7,7 @@ classes: work done while holding a pool/arena lock, user callbacks fired
 under locks, blocking calls on the event loop, and wall-clock /
 monotonic-clock confusion.  Review does not scale; tooling does.  This
 module is the shared walking/reporting core; the rule visitors
-themselves (RC001–RC006) live in :mod:`repro.analysis.rules`, and each
+themselves (RC001–RC009) live in :mod:`repro.analysis.rules`, and each
 encodes one invariant those incidents taught us
 (``docs/concurrency-invariants.md`` maps rules to incidents).
 

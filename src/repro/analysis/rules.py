@@ -1,7 +1,8 @@
-"""RC001–RC008: the serving stack's static invariants as AST rules.
+"""RC001–RC009: the serving stack's static invariants as AST rules.
 
 RC001–RC007 encode concurrency incidents; RC008 keeps the public
-serving surface documented (the operator handbook links into it).
+serving surface documented (the operator handbook links into it);
+RC009 keeps one TCP listener under every front-end.
 
 Each rule is a small class with ``rule_id``, ``title``, ``applies_to``
 (path scoping, so e.g. the async-blocking rule only runs on the
@@ -292,6 +293,7 @@ class BlockingInAsyncRule:
             or "/gateway/" in rel
             or "serving/cluster" in rel
             or "/cluster/" in rel
+            or rel.endswith("serving/listener.py")
         )
 
     def check(self, module: ModuleSource) -> list[Finding]:
@@ -806,7 +808,11 @@ class PublicDocstringRule:
     title = "public serving def/class without a docstring"
 
     def applies_to(self, rel: str) -> bool:
-        return "serving/gateway/" in rel or "serving/cluster/" in rel
+        return (
+            "serving/gateway/" in rel
+            or "serving/cluster/" in rel
+            or rel.endswith("serving/listener.py")
+        )
 
     def check(self, module: ModuleSource) -> list[Finding]:
         findings: list[Finding] = []
@@ -848,6 +854,40 @@ class PublicDocstringRule:
                     yield from self._check_def(module, stmt, owner=node.name)
 
 
+# ----------------------------------------------------------------------
+# RC009 — one TCP listener: asyncio.start_server only in serving/listener.py
+# ----------------------------------------------------------------------
+class SingleListenerRule:
+    """Every TCP front-end reuses :class:`~repro.serving.listener.FrameListener`.
+
+    The gateway and the cluster router once each carried their own copy
+    of binding, connection lifecycle, HELLO and frame dispatch, and both
+    copies grew the same counting bug.  ``asyncio.start_server`` may
+    appear only in ``serving/listener.py``; a third front-end subclasses
+    the listener instead of binding a socket of its own.
+    """
+
+    rule_id = "RC009"
+    title = "asyncio.start_server outside serving/listener.py"
+
+    def applies_to(self, rel: str) -> bool:
+        return not rel.endswith("serving/listener.py")
+
+    def check(self, module: ModuleSource) -> list[Finding]:
+        return [
+            module.finding(
+                self.rule_id,
+                node,
+                "`start_server` outside serving/listener.py — a second "
+                "listener copies the connection lifecycle, HELLO and "
+                "frame dispatch; subclass FrameListener instead",
+            )
+            for node in ast.walk(module.tree)
+            if isinstance(node, ast.Call)
+            and final_attr(dotted_name(node.func)) == "start_server"
+        ]
+
+
 ALL_RULES = [
     BlockingInAsyncRule(),
     LockAcrossBlockingRule(),
@@ -857,6 +897,7 @@ ALL_RULES = [
     ThreadHygieneRule(),
     TelemetryRule(),
     PublicDocstringRule(),
+    SingleListenerRule(),
 ]
 
 RULES_BY_ID = {rule.rule_id: rule for rule in ALL_RULES}

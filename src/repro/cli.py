@@ -351,6 +351,69 @@ def _read_token_file(path: str | None) -> str | None:
     return token
 
 
+def _host_port(text: str) -> tuple[str, int] | None:
+    """``HOST:PORT`` as ``(host, port)`` (the host may be empty); None
+    when there is no colon or the port is not an int."""
+    host, colon, port_text = text.rpartition(":")
+    try:
+        return (host, int(port_text)) if colon else None
+    except ValueError:
+        return None
+
+
+def _listen_address(args: argparse.Namespace) -> tuple[str, int] | None:
+    """``--listen HOST:PORT`` as ``(host, port)``, an empty host meaning
+    every interface; None, after an error line, when malformed."""
+    address = _host_port(args.listen)
+    if address is None:
+        print(f"error: --listen needs HOST:PORT, got {args.listen!r}",
+              file=sys.stderr)
+        return None
+    return address[0] or "0.0.0.0", address[1]
+
+
+def _run_listener(listener, address, banner: dict, serve_seconds: float | None,
+                  *, closing=(), background=()) -> int:
+    """Serve ``listener`` (a gateway or a router) on ``address``.
+
+    Prints ``banner`` with the bound address as the first stdout line,
+    serves until ``--serve-seconds`` elapse (forever without it), Ctrl-C
+    or SIGTERM, then closes the listener and prints its snapshot.
+    ``background`` coroutine functions run alongside; ``closing`` holds
+    resources (None allowed) closed on the way out.
+    """
+    import asyncio
+
+    async def _serve() -> None:
+        _graceful_sigterm()
+        bound_host, bound_port = await listener.start(*address)
+        print(json.dumps({"listening": f"{bound_host}:{bound_port}", **banner}),
+              flush=True)
+        tasks = [asyncio.create_task(run()) for run in background]
+        try:
+            if serve_seconds is None:
+                await listener.serve_forever()
+            else:
+                await asyncio.sleep(serve_seconds)
+        except asyncio.CancelledError:
+            pass
+        finally:
+            for task in tasks:
+                task.cancel()
+            await listener.aclose()
+            print(json.dumps(listener.snapshot(), indent=2))
+
+    try:
+        asyncio.run(_serve())
+    except KeyboardInterrupt:
+        pass
+    finally:
+        for resource in closing:
+            if resource is not None:
+                resource.close()
+    return 0
+
+
 def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     """Expose the engine over TCP: the async gateway with SLO classes."""
     import asyncio
@@ -358,16 +421,9 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     from repro.serving import BatchScheduler, GatewayServer
     from repro.serving.gateway import TenantDirectory
 
-    host, colon, port_text = args.listen.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        colon = ""
-    if not colon:
-        print(f"error: --listen needs HOST:PORT, got {args.listen!r}",
-              file=sys.stderr)
+    address = _listen_address(args)
+    if address is None:
         return 2
-    host = host or "0.0.0.0"
     tenants = TenantDirectory()
     if args.tenants:
         with open(args.tenants, encoding="utf-8") as handle:
@@ -420,91 +476,52 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
 
     server.reload_hook = reload_hook
 
-    async def _serve() -> None:
-        _graceful_sigterm()
-        bound_host, bound_port = await server.start(host, port)
-        print(json.dumps({
-            "listening": f"{bound_host}:{bound_port}",
-            "slo_ms": slo_ms,
-            "classes": sorted(server.tenants.classes),
-            "default_class": server.tenants.default_class,
-        }), flush=True)
-        watcher = None
-        if args.watch_model:
-            async def _watch() -> None:
-                while True:
-                    await asyncio.sleep(max(float(args.watch_every), 0.1))
-                    try:
-                        reload_hook()
-                    # A checkpoint caught mid-write fails to parse; the
-                    # next tick re-reads it whole.  Deliberate swallow.
-                    # repro-check: ignore[RC006]
-                    except Exception:
-                        pass
+    async def _watch() -> None:
+        while True:
+            await asyncio.sleep(max(float(args.watch_every), 0.1))
+            try:
+                reload_hook()
+            # A checkpoint caught mid-write fails to parse; the next
+            # tick re-reads it whole.  Deliberate swallow.
+            # repro-check: ignore[RC006]
+            except Exception:
+                pass
 
-            watcher = asyncio.create_task(_watch())
-        try:
-            if args.serve_seconds is None:
-                await server.serve_forever()
-            else:
-                await asyncio.sleep(args.serve_seconds)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            if watcher is not None:
-                watcher.cancel()
-            await server.aclose()
-            print(json.dumps(server.snapshot(), indent=2))
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        backend.close()
-        if metrics_server is not None:
-            metrics_server.close()
-        if trace_log is not None:
-            trace_log.close()
-    return 0
+    banner = {
+        "slo_ms": slo_ms,
+        "classes": sorted(server.tenants.classes),
+        "default_class": server.tenants.default_class,
+    }
+    return _run_listener(
+        server, address, banner, args.serve_seconds,
+        closing=(backend, metrics_server, trace_log),
+        background=[_watch] if args.watch_model else [],
+    )
 
 
 def _parse_shard_specs(specs: list[str]) -> dict[str, tuple[str, int]]:
     """``ID=HOST:PORT`` pairs -> ``{node_id: (host, port)}``."""
     shards: dict[str, tuple[str, int]] = {}
     for spec in specs:
-        node_id, eq, address = spec.partition("=")
-        host, colon, port_text = address.rpartition(":")
-        try:
-            port = int(port_text)
-        except ValueError:
-            colon = ""
-        if not eq or not colon or not node_id or not host:
+        node_id, eq, text = spec.partition("=")
+        address = _host_port(text)
+        if not eq or address is None or not node_id or not address[0]:
             raise SystemExit(
                 f"error: --shard needs ID=HOST:PORT, got {spec!r}"
             )
         if node_id in shards:
             raise SystemExit(f"error: duplicate shard id {node_id!r}")
-        shards[node_id] = (host, port)
+        shards[node_id] = address
     return shards
 
 
 def _cmd_route(args: argparse.Namespace) -> int:
     """Front N gateway shards with the consistent-hash cluster router."""
-    import asyncio
-
     from repro.serving.cluster import ClusterRouter
 
-    host, colon, port_text = args.listen.rpartition(":")
-    try:
-        port = int(port_text)
-    except ValueError:
-        colon = ""
-    if not colon:
-        print(f"error: --listen needs HOST:PORT, got {args.listen!r}",
-              file=sys.stderr)
+    address = _listen_address(args)
+    if address is None:
         return 2
-    host = host or "0.0.0.0"
     shards = _parse_shard_specs(args.shard)
     metrics_server, tracer, trace_log = _build_observability(args)
     ssl_context = _listener_ssl(args)
@@ -537,36 +554,13 @@ def _cmd_route(args: argparse.Namespace) -> int:
         auth=auth,
     )
 
-    async def _serve() -> None:
-        _graceful_sigterm()
-        bound_host, bound_port = await router.start(host, port)
-        print(json.dumps({
-            "listening": f"{bound_host}:{bound_port}",
-            "role": "router",
-            "shards": sorted(shards),
-            "policy": "spread" if args.spread else "affinity",
-        }), flush=True)
-        try:
-            if args.serve_seconds is None:
-                await router.serve_forever()
-            else:
-                await asyncio.sleep(args.serve_seconds)
-        except asyncio.CancelledError:
-            pass
-        finally:
-            await router.aclose()
-            print(json.dumps(router.snapshot(), indent=2))
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if metrics_server is not None:
-            metrics_server.close()
-        if trace_log is not None:
-            trace_log.close()
-    return 0
+    banner = {
+        "role": "router",
+        "shards": sorted(shards),
+        "policy": "spread" if args.spread else "affinity",
+    }
+    return _run_listener(router, address, banner, args.serve_seconds,
+                         closing=(metrics_server, trace_log))
 
 
 def _cmd_quota(args: argparse.Namespace) -> int:

@@ -34,8 +34,6 @@ class NodeRecord:
     state: str = ALIVE
     last_heartbeat: float | None = None
     misses: int = 0
-    deaths: int = 0
-    heals: int = 0
     last_error: str | None = None
     summary: dict = field(default_factory=dict)
 
@@ -47,8 +45,6 @@ class NodeRecord:
             "state": self.state,
             "last_heartbeat": self.last_heartbeat,
             "misses": self.misses,
-            "deaths": self.deaths,
-            "heals": self.heals,
             "last_error": self.last_error,
         }
 
@@ -117,7 +113,6 @@ class MembershipTable:
             record.summary = dict(summary)
         if record.state == DEAD:
             record.state = ALIVE
-            record.heals += 1
             return True
         record.state = ALIVE
         return False
@@ -144,7 +139,6 @@ class MembershipTable:
         if record.state == DEAD:
             return False
         record.state = DEAD
-        record.deaths += 1
         return True
 
     # ------------------------------------------------------------------

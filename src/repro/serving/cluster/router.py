@@ -46,12 +46,10 @@ from repro.serving.cluster.membership import DEAD, MembershipTable
 from repro.serving.cluster.ring import EmptyRingError, HashRing
 from repro.serving.gateway import protocol
 from repro.serving.gateway.client import AsyncGatewayClient, GatewayError
-from repro.serving.gateway.protocol import Frame, FrameType, ProtocolError
+from repro.serving.gateway.protocol import Frame, FrameType
 from repro.serving.gateway.security import TenantAuthenticator
-# The router reuses the gateway's per-client connection plumbing
-# (bounded outbox + writer task) rather than growing a second copy.
-from repro.serving.gateway.server import _Connection, answer_trace
-from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
+from repro.serving.listener import FrameListener, _Connection
+from repro.serving.observability.metrics import MetricsRegistry, counted
 from repro.serving.observability.metrics import published, tally, total
 from repro.serving.observability.tracing import TraceRecord, Tracer
 
@@ -115,7 +113,7 @@ class RouterStats:
         "repro_router_protocol_errors_total", "Frames rejected as malformed after the handshake."
     )
     handshakes_rejected: int = counted(
-        "repro_router_handshakes_rejected_total", "Connections dropped during the HELLO exchange."
+        "repro_router_handshakes_rejected_total", "Connections whose HELLO exchange failed."
     )
     auth_failed: int = counted(
         "repro_router_auth_failed_total", "Handshakes rejected for a missing or wrong bearer token."
@@ -172,7 +170,7 @@ class RouterTicket:
     trace: TraceRecord | None = field(default=None, repr=False)
 
 
-class ClusterRouter:
+class ClusterRouter(FrameListener):
     """Tenant-affine routing tier over N gateway shards.
 
     Parameters
@@ -262,34 +260,31 @@ class ClusterRouter:
         self.affinity = bool(affinity)
         self.probe_tenant = probe_tenant
         self.connect_timeout_s = float(connect_timeout_s)
-        self.max_outbox_frames = max_outbox_frames
-        self.handshake_timeout_s = handshake_timeout_s
-        self.name = name
-        self._ssl_context = ssl_context
         self.upstream_ssl = upstream_ssl
         self.shard_token = shard_token
         self.auth = auth
-        self.stats = RouterStats()
-        self.tracer = tracer
         self.clock = time.monotonic
-        self.address: tuple[str, int] | None = None
-        self._metrics = metrics if metrics is not None else get_metrics()
+        super().__init__(
+            RouterStats(),
+            name=name,
+            metrics=metrics,
+            tracer=tracer,
+            ssl_context=ssl_context,
+            max_outbox_frames=max_outbox_frames,
+            handshake_timeout_s=handshake_timeout_s,
+        )
         self._m = _RouterInstruments(self._metrics)
-        self._exporter = StatsExporter(self._metrics, self.stats)
         self._ticket_ids = itertools.count(1)
         self._rr = itertools.count()
         self._tickets: dict[int, RouterTicket] = {}
-        self._ticket_tasks: set[asyncio.Task] = set()
-        self._bg_tasks: set[asyncio.Task] = set()
-        self._node_tasks: list[asyncio.Task] = []
+        #: Node loops, ticket drivers and control-plane work, all
+        #: cancelled at close.
+        self._tasks: set[asyncio.Task] = set()
         self._upstreams: dict[tuple[str, str], asyncio.Task] = {}
         self._controls: dict[str, AsyncGatewayClient] = {}
-        self._connections: set[_Connection] = set()
         #: Per-shard forward->deliver latency EWMA (seconds); redispatched
         #: tickets are excluded, mirroring the worker pool's EWMA hygiene.
         self._latency_ewma: dict[str, float] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._running = False
         self._metrics.register_collector(self._collect_metrics)
 
     @staticmethod
@@ -310,32 +305,13 @@ class ClusterRouter:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Bind, start heartbeat loops; returns the bound ``(host, port)``."""
-        if self._running:
-            raise RuntimeError("router already started")
-        self._running = True
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port, ssl=self._ssl_context
-        )
+    def _on_start(self) -> None:
         for node_id in self._addresses:
-            task = asyncio.create_task(self._node_loop(node_id))
-            self._node_tasks.append(task)
-        self.address = self._server.sockets[0].getsockname()[:2]
-        return self.address
+            self._schedule(self._node_loop(node_id))
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (start() must have been awaited)."""
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
-    async def aclose(self) -> None:
-        """Stop accepting, fail open tickets, close every upstream."""
-        self._running = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        tasks = self._node_tasks + list(self._ticket_tasks) + list(self._bg_tasks)
+    async def _on_close(self) -> None:
+        """Fail open tickets and close every upstream."""
+        tasks = list(self._tasks)
         for task in tasks:
             task.cancel()
         for task in tasks:
@@ -343,7 +319,6 @@ class ClusterRouter:
                 await task
             except (asyncio.CancelledError, Exception):
                 pass
-        self._node_tasks.clear()
         for ticket in list(self._tickets.values()):
             if not ticket.done:
                 self._fail(ticket, "router_shutdown", "router shutting down")
@@ -352,28 +327,11 @@ class ClusterRouter:
             await self._close_upstream(key)
         for node_id in list(self._controls):
             await self._close_control(node_id)
-        for connection in list(self._connections):
-            connection.closed = True
-            try:
-                connection.writer.close()
-            # Shutdown teardown: a transport already torn down by the
-            # peer raises on close; nothing to do.  Deliberate swallow.
-            # repro-check: ignore[RC006]
-            except Exception:
-                pass
-        self._connections.clear()
-        self._metrics.unregister_collector(self._collect_metrics)
-        self._exporter.close()
-
-    @property
-    def num_connections(self) -> int:
-        """Currently open client connections."""
-        return len(self._connections)
 
     def _schedule(self, coroutine) -> asyncio.Task:
         task = asyncio.create_task(coroutine)
-        self._bg_tasks.add(task)
-        task.add_done_callback(self._bg_tasks.discard)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
         return task
 
     # ------------------------------------------------------------------
@@ -387,20 +345,23 @@ class ClusterRouter:
             raise EmptyRingError("hash ring has no nodes")
         return nodes[next(self._rr) % len(nodes)]
 
+    async def _connect(self, node_id: str, tenant: str, role: str) -> AsyncGatewayClient:
+        """Open a client to ``node_id`` for ``tenant``, presenting the
+        router's shard token over the upstream TLS context."""
+        host, port = self._addresses[node_id]
+        return await AsyncGatewayClient.connect(
+            host,
+            port,
+            tenant=tenant,
+            client=f"{self.name}-{role}",
+            connect_timeout_s=self.connect_timeout_s,
+            token=self.shard_token,
+            ssl=self.upstream_ssl,
+        )
+
     def _spawn_upstream(self, key: tuple[str, str]) -> asyncio.Task:
         node_id, tenant = key
-        host, port = self._addresses[node_id]
-        task = asyncio.create_task(
-            AsyncGatewayClient.connect(
-                host,
-                port,
-                tenant=tenant,
-                client=f"{self.name}->{node_id}",
-                connect_timeout_s=self.connect_timeout_s,
-                token=self.shard_token,
-                ssl=self.upstream_ssl,
-            )
-        )
+        task = asyncio.create_task(self._connect(node_id, tenant, f">{node_id}"))
         self._upstreams[key] = task
         return task
 
@@ -519,16 +480,14 @@ class ClusterRouter:
     # Per-node heartbeat / heal loop
     # ------------------------------------------------------------------
     async def _node_loop(self, node_id: str) -> None:
+        """Heartbeat the shard; a dead one is probed, less often, the
+        same way — its first answer heals it."""
         try:
             while self._running:
-                if self.membership.get(node_id).state == DEAD:
-                    await asyncio.sleep(self.heal_interval_s)
-                    if self._running:
-                        await self._probe(node_id)
-                else:
-                    await asyncio.sleep(self.heartbeat_s)
-                    if self._running:
-                        await self._heartbeat(node_id)
+                dead = self.membership.get(node_id).state == DEAD
+                await asyncio.sleep(self.heal_interval_s if dead else self.heartbeat_s)
+                if self._running:
+                    await self._heartbeat(node_id)
         except asyncio.CancelledError:
             pass
 
@@ -547,164 +506,56 @@ class ClusterRouter:
 
     async def _heartbeat(self, node_id: str) -> None:
         """One STATS round trip on the node's control connection; a
-        timeout, transport error, or node-id mismatch counts a miss."""
+        timeout, transport error, or node-id mismatch counts a miss, an
+        answer from a dead shard revives it."""
         try:
             control = self._controls.get(node_id)
             if control is None or control.closed:
-                host, port = self._addresses[node_id]
-                control = await AsyncGatewayClient.connect(
-                    host,
-                    port,
-                    tenant=self.probe_tenant,
-                    client=f"{self.name}-heartbeat",
-                    connect_timeout_s=self.connect_timeout_s,
-                    token=self.shard_token,
-                    ssl=self.upstream_ssl,
-                )
+                control = await self._connect(node_id, self.probe_tenant, "heartbeat")
                 self._controls[node_id] = control
             snapshot = await asyncio.wait_for(
                 control.stats(), timeout=self.heartbeat_s
             )
         except (ConnectionError, OSError, GatewayError, asyncio.TimeoutError) as error:
-            # Drop the control connection so a late reply cannot be
-            # misread as the *next* heartbeat's answer.
-            await self._close_control(node_id)
-            if self.membership.miss(node_id, reason=repr(error)):
-                self._retire(node_id)
-            return
-        echoed = snapshot.get("node_id")
-        if echoed is not None and echoed != node_id:
-            await self._close_control(node_id)
+            reason = repr(error)
+        else:
+            echoed = snapshot.get("node_id")
+            if echoed is None or echoed == node_id:
+                self._revive(node_id, self._condense(snapshot))
+                return
             reason = f"node_id mismatch: shard says {echoed!r}"
-            if self.membership.miss(node_id, reason=reason):
-                self._retire(node_id)
-            return
-        self._revive(node_id, self._condense(snapshot))
-
-    async def _probe(self, node_id: str) -> bool:
-        """One revival attempt against a dead shard."""
-        host, port = self._addresses[node_id]
-        try:
-            client = await AsyncGatewayClient.connect(
-                host,
-                port,
-                tenant=self.probe_tenant,
-                client=f"{self.name}-probe",
-                connect_timeout_s=self.connect_timeout_s,
-                token=self.shard_token,
-                ssl=self.upstream_ssl,
-            )
-        except (ConnectionError, OSError, GatewayError):
-            return False
-        try:
-            snapshot = await asyncio.wait_for(
-                client.stats(), timeout=self.heartbeat_s
-            )
-        except (ConnectionError, OSError, asyncio.TimeoutError):
-            await client.aclose()
-            return False
-        await client.aclose()
-        self._revive(node_id, self._condense(snapshot))
-        return True
+        # Drop the control connection so a late reply cannot be misread
+        # as the *next* heartbeat's answer.
+        await self._close_control(node_id)
+        if self.membership.miss(node_id, reason=reason):
+            self._retire(node_id)
 
     # ------------------------------------------------------------------
     # Client connections
     # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(reader, writer, max_outbox=self.max_outbox_frames)
-        self.stats.connections_total += 1
-        writer_task = asyncio.create_task(connection.write_loop())
-        try:
-            if not await self._handshake(connection):
-                self.stats.handshakes_rejected += 1
-                return
-            self._connections.add(connection)
-            await self._serve_frames(connection)
-        except (ConnectionError, asyncio.TimeoutError):
-            pass
-        except ProtocolError as error:
-            self.stats.protocol_errors += 1
-            connection.send(protocol.error_frame(error.code, str(error)))
-        finally:
-            self._connections.discard(connection)
-            self._reclaim(connection)
-            connection.closed = True
-            connection.outbox.put_nowait(None)
-            try:
-                await asyncio.wait_for(writer_task, timeout=5.0)
-            except (asyncio.TimeoutError, ConnectionError):
-                writer_task.cancel()
-            try:
-                connection.writer.close()
-            except Exception:
-                pass
-
-    async def _handshake(self, connection: _Connection) -> bool:
-        """HELLO exchange: resolve the tenant's home shard, pre-warm its
-        pooled connection, and echo the shard's SLO terms back."""
-        frame = await connection.read_hello(self.handshake_timeout_s)
-        if frame is None:
-            return False
-        tenant_id = str(frame.meta.get("tenant", "anonymous"))
-        if self.auth is not None:
-            raw_token = frame.meta.get("token")
-            token = raw_token if isinstance(raw_token, str) else None
-            if not self.auth.authenticate(tenant_id, token):
-                self.stats.auth_failed += 1
-                connection.send(
-                    protocol.error_frame(
-                        "auth_failed",
-                        f"bearer token missing or invalid for tenant {tenant_id!r}",
-                    )
-                )
-                return False
+    async def _resolve_tenant(self, connection: _Connection, tenant_id: str) -> Frame:
+        """Resolve the tenant's home shard, pre-warm its pooled
+        connection, and echo the shard's SLO terms back."""
         try:
             node_id, upstream = await self._upstream_for_tenant(tenant_id)
         except EmptyRingError:
-            connection.send(
-                protocol.error_frame("no_nodes", "no alive shards in the ring")
-            )
-            return False
+            return protocol.error_frame("no_nodes", "no alive shards in the ring")
         except GatewayError as error:
             # The shard rejected this tenant (e.g. unknown_tenant):
             # relay the rejection verbatim.
-            connection.send(protocol.error_frame(error.code, str(error)))
-            return False
+            return protocol.error_frame(error.code, str(error))
         connection.tenant = _RouterTenant(tenant_id, upstream.slo_class)
-        connection.send(
-            protocol.hello_reply(
-                server=self.name,
-                tenant=tenant_id,
-                slo_class=upstream.slo_class,
-                slo_ms=upstream.slo_ms,
-                model_version=upstream.model_version,
-                node_id=node_id,
-            )
+        return protocol.hello_reply(
+            server=self.name,
+            tenant=tenant_id,
+            slo_class=upstream.slo_class,
+            slo_ms=upstream.slo_ms,
+            model_version=upstream.model_version,
+            node_id=node_id,
         )
-        return True
 
-    async def _serve_frames(self, connection: _Connection) -> None:
-        while True:
-            frame = await protocol.read_frame(connection.reader)
-            if frame is None:
-                return  # clean EOF
-            if frame.kind is FrameType.SUBMIT:
-                self._on_submit(connection, frame)
-            elif frame.kind is FrameType.STATS:
-                connection.send(protocol.stats_frame(self.snapshot()))
-            elif frame.kind is FrameType.TRACE:
-                answer_trace(connection, frame, self.tracer, self.stats)
-            elif frame.kind is FrameType.RELOAD:
-                self._schedule(self._broadcast_reload(connection))
-            else:
-                connection.send(
-                    protocol.error_frame(
-                        "unexpected_frame",
-                        f"cannot handle {frame.kind.name} after the handshake",
-                    )
-                )
+    def _on_reload(self, connection: _Connection) -> None:
+        self._schedule(self._broadcast_reload(connection))
 
     def _reclaim(self, connection: _Connection) -> None:
         """A client vanished: mark its tickets done so late shard
@@ -746,9 +597,7 @@ class ClusterRouter:
             )
             ticket.trace.mark_admitted(ticket.received)
         self._tickets[ticket.ticket_id] = ticket
-        task = asyncio.create_task(self._run_ticket(ticket))
-        self._ticket_tasks.add(task)
-        task.add_done_callback(self._ticket_tasks.discard)
+        self._schedule(self._run_ticket(ticket))
 
     async def _run_ticket(self, ticket: RouterTicket) -> None:
         """Drive one ticket to a terminal: delivered, relayed error, or
@@ -761,7 +610,10 @@ class ClusterRouter:
                     self._fail(ticket, "no_nodes", "no alive shards in the ring")
                     return
                 except GatewayError as error:
-                    self._relay_error(ticket, error)
+                    # A shard-side rejection (shed, rate_limited, ...)
+                    # passes through: policy decisions belong to the
+                    # owning shard, the router never retries them.
+                    self._fail(ticket, error.code, str(error), terminal="shed")
                     return
                 except (ConnectionError, OSError) as error:
                     # The connection died after the SUBMIT may have been
@@ -830,23 +682,9 @@ class ClusterRouter:
             )
             ticket.trace.finish("delivered")
 
-    def _relay_error(self, ticket: RouterTicket, error: GatewayError) -> None:
-        """Pass a shard-side rejection (shed, rate_limited, ...) through
-        to the client under its original request id — policy decisions
-        belong to the owning shard, the router never retries them."""
-        if ticket.done:
-            return
-        ticket.done = True
-        self.stats.errors_by_code[error.code] += 1
-        ticket.connection.send(
-            protocol.error_frame(
-                error.code, str(error), request_id=ticket.client_request_id
-            )
-        )
-        if ticket.trace is not None:
-            ticket.trace.finish("shed", code=error.code)
-
-    def _fail(self, ticket: RouterTicket, code: str, message: str) -> None:
+    def _fail(
+        self, ticket: RouterTicket, code: str, message: str, terminal: str = "error"
+    ) -> None:
         if ticket.done:
             return
         ticket.done = True
@@ -855,7 +693,7 @@ class ClusterRouter:
             protocol.error_frame(code, message, request_id=ticket.client_request_id)
         )
         if ticket.trace is not None:
-            ticket.trace.finish("error", code=code)
+            ticket.trace.finish(terminal, code=code)
 
     # ------------------------------------------------------------------
     # Control-plane frames
@@ -868,17 +706,8 @@ class ClusterRouter:
         swapped = False
         failures: list[str] = []
         for node_id in self.ring.nodes:
-            host, port = self._addresses[node_id]
             try:
-                client = await AsyncGatewayClient.connect(
-                    host,
-                    port,
-                    tenant=self.probe_tenant,
-                    client=f"{self.name}-reload",
-                    connect_timeout_s=self.connect_timeout_s,
-                    token=self.shard_token,
-                    ssl=self.upstream_ssl,
-                )
+                client = await self._connect(node_id, self.probe_tenant, "reload")
             except (ConnectionError, OSError, GatewayError) as error:
                 failures.append(f"{node_id}: {error}")
                 continue
@@ -914,6 +743,8 @@ class ClusterRouter:
             ewma = self._latency_ewma.get(node_id)
             shards[node_id] = {
                 **membership[node_id],
+                "deaths": self.stats.deaths_by_node[node_id],
+                "heals": self.stats.heals_by_node[node_id],
                 "forwarded": self.stats.forwarded_by_node[node_id],
                 "delivered": self.stats.delivered_by_node[node_id],
                 "forward_ewma_ms": None if ewma is None else ewma * 1e3,

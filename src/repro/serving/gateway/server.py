@@ -68,12 +68,12 @@ from repro.serving.backends import ExecutionBackend
 from repro.serving.engine import InferenceEngine, SampleResult
 from repro.serving.scheduler import BatchScheduler
 from repro.serving.gateway import protocol
-from repro.serving.gateway.protocol import Frame, FrameType, ProtocolError, VersionMismatch
+from repro.serving.gateway.protocol import Frame, ProtocolError
 from repro.serving.gateway.quota import QuotaLedger
+from repro.serving.gateway.security import TenantAuthenticator
 from repro.serving.gateway.tenants import AdmissionQueue, Tenant, TenantDirectory
-from repro.serving.observability.metrics import (
-    DEFAULT_LATENCY_BUCKETS, MetricsRegistry, StatsExporter, get_metrics,
-)
+from repro.serving.listener import FrameListener, _Connection
+from repro.serving.observability.metrics import DEFAULT_LATENCY_BUCKETS, MetricsRegistry
 from repro.serving.observability.metrics import counted, published, tally, total
 from repro.serving.observability.tracing import TraceRecord, Tracer
 from repro.serving.registry import ModelRegistry
@@ -83,7 +83,7 @@ from repro.serving.registry import ModelRegistry
 class GatewayRequest:
     """One admitted SUBMIT on its way through admission -> engine."""
 
-    connection: "_Connection"
+    connection: _Connection
     tenant: Tenant
     request_id: int
     sample: np.ndarray
@@ -110,7 +110,7 @@ class GatewayStats:
 
     connections_total: int = counted("repro_gateway_connections_total", "TCP connections accepted.")
     handshakes_rejected: int = counted(
-        "repro_gateway_handshakes_rejected_total", "Connections dropped during the HELLO exchange."
+        "repro_gateway_handshakes_rejected_total", "Connections whose HELLO exchange failed."
     )
     #: (tenant, slo_class) -> SUBMIT frames received.
     submits_by_tenant: Counter = tally(
@@ -203,120 +203,7 @@ class _GatewayInstruments:
         )
 
 
-class _Connection:
-    """Per-client state: identity after HELLO, plus the write side."""
-
-    __slots__ = (
-        "reader", "writer", "tenant", "client_name", "outbox", "closed",
-        "max_outbox",
-    )
-
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        *,
-        max_outbox: int = 1024,
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
-        self.tenant: Tenant | None = None
-        self.client_name = "?"
-        self.outbox: asyncio.Queue[bytes | None] = asyncio.Queue()
-        self.closed = False
-        self.max_outbox = max_outbox
-
-    def send(self, frame: Frame) -> None:
-        """Queue one frame for the writer task (drops after close).
-
-        The outbox is bounded: a client that submits but never reads
-        stalls the writer on TCP backpressure while deliveries keep
-        arriving, and buffering those results without limit would trade
-        one misbehaving client for the whole server's memory.  At the
-        cap the connection is dropped — its reader sees the close and
-        the normal reclamation path cancels its remaining work.
-        """
-        if self.closed:
-            return
-        if self.outbox.qsize() >= self.max_outbox:
-            self.closed = True
-            self.outbox.put_nowait(None)
-            try:
-                self.writer.close()
-            except Exception:
-                pass
-            return
-        self.outbox.put_nowait(protocol.encode_frame(frame))
-
-    async def read_hello(self, timeout_s: float) -> Frame | None:
-        """The client's HELLO frame, or None after an ERROR reply (a
-        protocol version mismatch, or anything but HELLO first)."""
-        try:
-            frame = await asyncio.wait_for(protocol.read_frame(self.reader), timeout_s)
-        except VersionMismatch as error:
-            self.send(protocol.error_frame(error.code, str(error)))
-            return None
-        if frame is None or frame.kind is not FrameType.HELLO:
-            self.send(protocol.error_frame("bad_handshake", "expected a HELLO frame first"))
-            return None
-        self.client_name = str(frame.meta.get("client", "?"))
-        return frame
-
-    async def write_loop(self) -> None:
-        try:
-            while True:
-                data = await self.outbox.get()
-                if data is None:
-                    break
-                # Coalesce everything already queued (a flush delivers a
-                # whole batch of results at once) into one write.
-                chunks = [data]
-                stop = False
-                while not self.outbox.empty():
-                    data = self.outbox.get_nowait()
-                    if data is None:
-                        stop = True
-                        break
-                    chunks.append(data)
-                self.writer.write(b"".join(chunks))
-                await self.writer.drain()
-                if stop:
-                    break
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-
-
-def answer_trace(
-    connection: _Connection, frame: Frame, tracer: Tracer | None, stats
-) -> None:
-    """Reply to a TRACE frame by draining up to ``limit`` trace records.
-
-    Shared by the gateway and the router.  A ``limit`` that is not a
-    non-negative int is refused with a ``bad_trace`` ERROR frame and
-    counted in ``stats.protocol_errors``; the connection stays open.
-    """
-    limit = frame.meta.get("limit")
-    if limit is not None and (type(limit) is not int or limit < 0):
-        stats.protocol_errors += 1
-        connection.send(
-            protocol.error_frame(
-                "bad_trace", f"TRACE limit must be a non-negative int, got {limit!r}"
-            )
-        )
-        return
-    if tracer is None:
-        payload = {"traces": [], "dropped": 0, "buffered": 0, "enabled": False}
-    else:
-        payload = {
-            "traces": tracer.drain(limit),
-            "dropped": tracer.dropped,
-            "buffered": tracer.buffered,
-            "enabled": True,
-        }
-    connection.send(protocol.trace_frame(payload))
-
-
-class GatewayServer:
+class GatewayServer(FrameListener):
     """Socket front-end: TCP connections -> tenant admission -> engine.
 
     Parameters
@@ -459,11 +346,18 @@ class GatewayServer:
                 tracer=tracer,
             )
         self.engine = engine
-        self._metrics = metrics if metrics is not None else get_metrics()
+        super().__init__(
+            GatewayStats(),
+            name=name,
+            metrics=metrics,
+            # Gateway-begun traces flow through whatever tracer the
+            # engine ended up with (an external engine keeps its own).
+            tracer=tracer if tracer is not None else engine.tracer,
+            ssl_context=ssl_context,
+            max_outbox_frames=max_outbox_frames,
+            handshake_timeout_s=handshake_timeout_s,
+        )
         self._m = _GatewayInstruments(self._metrics)
-        #: Gateway-begun traces flow through whatever tracer the engine
-        #: ended up with (an external engine keeps its own).
-        self.tracer = tracer if tracer is not None else engine.tracer
         self.tenants = tenants if tenants is not None else TenantDirectory()
         self.admission = AdmissionQueue(
             self.tenants.classes.values(),
@@ -471,27 +365,17 @@ class GatewayServer:
             clock=self.engine.clock,
         )
         self.poll_interval_s = poll_interval_s
-        self.max_outbox_frames = max_outbox_frames
-        self.handshake_timeout_s = handshake_timeout_s
         self.reload_hook = reload_hook
-        self.name = name
         self.node_id = node_id
         self._tenant_registry = tenant_registry
-        self._ssl_context = ssl_context
         self.quota = quota
-        self.stats = GatewayStats()
-        self._exporter = StatsExporter(self._metrics, self.stats)
-        self.address: tuple[str, int] | None = None
         #: The scheduler's configured SLO, restored when no SLO-carrying
         #: tenant is connected (see :meth:`_refresh_slo`).
         self._base_slo_ms = (
             self.engine.scheduler.slo_ms if self.engine.scheduler is not None else None
         )
-        self._connections: set[_Connection] = set()
-        self._server: asyncio.base_events.Server | None = None
         self._flush_task: asyncio.Task | None = None
         self._kick: asyncio.Event | None = None
-        self._running = False
         self._metrics.register_collector(self._collect_metrics)
 
     def _collect_metrics(self) -> None:
@@ -529,10 +413,7 @@ class GatewayServer:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    async def start(self, host: str = "127.0.0.1", port: int = 0) -> tuple[str, int]:
-        """Bind and start serving; returns the bound ``(host, port)``."""
-        if self._running:
-            raise RuntimeError("server already started")
+    def _on_start(self) -> None:
         self._kick = asyncio.Event()
         loop = asyncio.get_running_loop()
         kick = self._kick
@@ -547,58 +428,24 @@ class GatewayServer:
                 pass  # loop already closed during shutdown
 
         self.engine.on_batch_complete = _wake_flush_loop
-        self._server = await asyncio.start_server(
-            self._on_connection, host, port, ssl=self._ssl_context
-        )
-        self._running = True
         self._flush_task = asyncio.create_task(self._flush_loop())
-        self.address = self._server.sockets[0].getsockname()[:2]
-        return self.address
 
-    async def serve_forever(self) -> None:
-        """Serve until cancelled (start() must have been awaited)."""
-        assert self._server is not None, "call start() first"
-        await self._server.serve_forever()
-
-    async def aclose(self) -> None:
-        """Stop accepting, drop connections, and drain the flush loop."""
-        self._running = False
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
+    async def _on_close(self) -> None:
+        """Drain the flush loop; anything still queued or in the engine
+        is undeliverable now."""
         if self._flush_task is not None:
             self._flush_task.cancel()
             try:
                 await self._flush_task
             except asyncio.CancelledError:
                 pass
-        for connection in list(self._connections):
-            self._drop_connection(connection)
-        # Anything still queued or in the engine is undeliverable now.
-        for request in self.admission.purge(lambda _request: True):
-            if request.trace is not None:
-                request.trace.finish("shed", code="shutdown")
-
-        def _release(meta) -> bool:
-            if isinstance(meta, GatewayRequest):
-                meta.tenant.stats.in_flight -= 1
-                return True
-            return False
-
-        self.engine.discard_pending(_release, code="shutdown")
+        self._reclaim(None, code="shutdown")
         self.engine.on_batch_complete = None
         # Settle airborne batches so a pooled backend can be closed
         # immediately after; their deliveries were suppressed above.
         self.engine.drain()
         if self.quota is not None:
             self.quota.close()  # persist unsynced charges across restart
-        self._metrics.unregister_collector(self._collect_metrics)
-        self._exporter.close()
-
-    @property
-    def num_connections(self) -> int:
-        """Currently open client connections."""
-        return len(self._connections)
 
     # ------------------------------------------------------------------
     # Flush loop: the only code that touches the engine
@@ -717,99 +564,29 @@ class GatewayServer:
     # ------------------------------------------------------------------
     # Connection handling
     # ------------------------------------------------------------------
-    async def _on_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        connection = _Connection(reader, writer, max_outbox=self.max_outbox_frames)
-        self.stats.connections_total += 1
-        writer_task = asyncio.create_task(connection.write_loop())
-        try:
-            if not await self._handshake(connection):
-                self.stats.handshakes_rejected += 1
-                return
-            self._connections.add(connection)
-            self._refresh_slo()
-            await self._serve_frames(connection)
-        except (ConnectionError, asyncio.TimeoutError):
-            pass
-        except ProtocolError as error:
-            self.stats.protocol_errors += 1
-            connection.send(protocol.error_frame(error.code, str(error)))
-        finally:
-            self._connections.discard(connection)
-            self._refresh_slo()
-            self._reclaim(connection)
-            connection.closed = True
-            connection.outbox.put_nowait(None)  # let queued frames flush out
-            try:
-                await asyncio.wait_for(writer_task, timeout=5.0)
-            except (asyncio.TimeoutError, ConnectionError):
-                writer_task.cancel()
-            self._drop_connection(connection)
+    @property
+    def auth(self) -> TenantAuthenticator | None:
+        """The tenant directory's authenticator (a tenants reload may
+        replace it)."""
+        return self.tenants.auth
 
-    async def _handshake(self, connection: _Connection) -> bool:
-        """HELLO exchange; False (after an ERROR reply) on any rejection."""
-        frame = await connection.read_hello(self.handshake_timeout_s)
-        if frame is None:
-            return False
-        tenant_id = str(frame.meta.get("tenant", "anonymous"))
-        # Authenticate before resolve: a stranger with a bad token must
-        # not materialise a tenant record (or learn whether the id is
-        # known — the authenticator's decoy compare keeps timing flat).
-        raw_token = frame.meta.get("token")
-        token = raw_token if isinstance(raw_token, str) else None
-        if not self.tenants.authenticate(tenant_id, token):
-            self.stats.auth_failed += 1
-            connection.send(
-                protocol.error_frame(
-                    "auth_failed",
-                    f"bearer token missing or invalid for tenant {tenant_id!r}",
-                )
-            )
-            return False
+    async def _resolve_tenant(self, connection: _Connection, tenant_id: str) -> Frame:
         tenant = self.tenants.resolve(tenant_id)
         if tenant is None:
-            connection.send(
-                protocol.error_frame(
-                    "unknown_tenant",
-                    f"tenant {tenant_id!r} has no assignment and the "
-                    "directory rejects unknown tenants",
-                )
+            return protocol.error_frame(
+                "unknown_tenant",
+                f"tenant {tenant_id!r} has no assignment and the "
+                "directory rejects unknown tenants",
             )
-            return False
         connection.tenant = tenant
-        connection.send(
-            protocol.hello_reply(
-                server=self.name,
-                tenant=tenant.tenant_id,
-                slo_class=tenant.slo_class.name,
-                slo_ms=tenant.slo_class.slo_ms,
-                model_version=self.engine.model_version,
-                node_id=self.node_id,
-            )
+        return protocol.hello_reply(
+            server=self.name,
+            tenant=tenant.tenant_id,
+            slo_class=tenant.slo_class.name,
+            slo_ms=tenant.slo_class.slo_ms,
+            model_version=self.engine.model_version,
+            node_id=self.node_id,
         )
-        return True
-
-    async def _serve_frames(self, connection: _Connection) -> None:
-        while True:
-            frame = await protocol.read_frame(connection.reader)
-            if frame is None:
-                return  # clean EOF
-            if frame.kind is FrameType.SUBMIT:
-                self._on_submit(connection, frame)
-            elif frame.kind is FrameType.STATS:
-                connection.send(protocol.stats_frame(self.snapshot()))
-            elif frame.kind is FrameType.RELOAD:
-                self._on_reload(connection)
-            elif frame.kind is FrameType.TRACE:
-                answer_trace(connection, frame, self.tracer, self.stats)
-            else:
-                connection.send(
-                    protocol.error_frame(
-                        "unexpected_frame",
-                        f"cannot handle {frame.kind.name} after the handshake",
-                    )
-                )
 
     def _on_submit(self, connection: _Connection, frame: Frame) -> None:
         tenant = connection.tenant
@@ -977,34 +754,33 @@ class GatewayServer:
         active = [
             connection.tenant.slo_class.slo_ms
             for connection in self._connections
-            if connection.tenant is not None
-            and connection.tenant.slo_class.slo_ms is not None
+            if connection.tenant.slo_class.slo_ms is not None
         ]
         scheduler.slo_ms = min(active) if active else self._base_slo_ms
 
-    def _reclaim(self, connection: _Connection) -> None:
-        """Reclaim a dead connection's queued and in-engine requests."""
-        purged = self.admission.purge(
-            lambda request: request.connection is connection
-        )
-        for request in purged:
+    #: A client joining or leaving moves the tightest connected SLO.
+    _roster_changed = _refresh_slo
+
+    def _reclaim(self, connection: _Connection | None, code: str = "disconnect") -> None:
+        """Shed a dead connection's queued and in-engine requests (every
+        connection's when ``connection`` is None)."""
+
+        def owned(request) -> bool:
+            return isinstance(request, GatewayRequest) and (
+                connection is None or request.connection is connection
+            )
+
+        for request in self.admission.purge(owned):
             if request.trace is not None:
-                request.trace.finish("shed", code="disconnect")
+                request.trace.finish("shed", code=code)
 
         def _release(meta) -> bool:
-            if isinstance(meta, GatewayRequest) and meta.connection is connection:
+            if owned(meta):
                 meta.tenant.stats.in_flight -= 1
                 return True
             return False
 
-        self.engine.discard_pending(_release, code="disconnect")
-
-    def _drop_connection(self, connection: _Connection) -> None:
-        connection.closed = True
-        try:
-            connection.writer.close()
-        except Exception:
-            pass
+        self.engine.discard_pending(_release, code=code)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -1083,7 +859,8 @@ class GatewayServer:
 
 
 class BackgroundGateway:
-    """Run a :class:`GatewayServer` on a daemon thread with its own loop.
+    """Run a :class:`~repro.serving.listener.FrameListener` (a gateway
+    or a cluster router) on a daemon thread with its own loop.
 
     The blocking world's handle on the async server: tests, examples,
     benchmarks, and ordinary scripts do::
@@ -1097,7 +874,7 @@ class BackgroundGateway:
     """
 
     def __init__(
-        self, server: GatewayServer, host: str = "127.0.0.1", port: int = 0
+        self, server: FrameListener, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.server = server
         self._host = host

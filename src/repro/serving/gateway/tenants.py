@@ -381,15 +381,6 @@ class TenantDirectory:
         effect on the next request."""
         return self.quotas.get(str(tenant_id), self.default_quota)
 
-    def authenticate(self, tenant_id: str, token: str | None) -> bool:
-        """Whether a HELLO presenting ``token`` may act as ``tenant_id``
-        (True when no authenticator is configured).  Constant-time per
-        credential; never raises — False maps to the ``auth_failed``
-        wire code."""
-        if self.auth is None:
-            return True
-        return self.auth.authenticate(tenant_id, token)
-
     @property
     def tenants(self) -> list[Tenant]:
         """Every tenant materialised so far (resolution order)."""

@@ -1,4 +1,4 @@
-"""Fixture suite for repro-check (RC001–RC007).
+"""Fixture suite for repro-check (RC001–RC009).
 
 One must-flag snippet and one near-miss per rule, written into a
 tmp tree whose layout satisfies each rule's path scoping, plus the
@@ -679,6 +679,82 @@ def test_rc008_suppression(tmp_path):
         "RC008",
     )
     assert findings == []
+
+
+# ----------------------------------------------------------------------
+# RC009 — asyncio.start_server only in serving/listener.py
+# ----------------------------------------------------------------------
+def test_rc009_flags_start_server_outside_the_listener(tmp_path):
+    findings = scan(
+        tmp_path,
+        "src/repro/serving/cluster/sidecar.py",
+        """
+        import asyncio
+        from asyncio import start_server
+
+        class Sidecar:
+            async def start(self, host, port):
+                self._server = await asyncio.start_server(self._on_client, host, port)
+                self._admin = await start_server(self._on_admin, host, port + 1)
+        """,
+        "RC009",
+    )
+    assert [f.rule for f in findings] == ["RC009", "RC009"]
+    assert "subclass FrameListener instead" in findings[0].message
+
+
+def test_rc009_near_miss_listener_home_and_clients(tmp_path):
+    home = scan(
+        tmp_path,
+        "src/repro/serving/listener.py",
+        """
+        import asyncio
+
+        async def bind(handler, host, port):
+            return await asyncio.start_server(handler, host, port)
+        """,
+        "RC009",
+    )
+    clients = scan(
+        tmp_path,
+        "src/repro/serving/gateway/dialer.py",
+        """
+        import asyncio
+
+        async def dial(host, port):
+            return await asyncio.open_connection(host, port)
+        """,
+        "RC009",
+    )
+    assert home == [] and clients == []
+
+
+def test_rc009_suppression(tmp_path):
+    findings = scan(
+        tmp_path,
+        "src/repro/serving/probe.py",
+        """
+        import asyncio
+
+        async def mute(handler):
+            # repro-check: ignore[RC009]
+            return await asyncio.start_server(handler, "127.0.0.1", 0)
+        """,
+        "RC009",
+    )
+    assert findings == []
+
+
+def test_rc001_and_rc008_cover_the_listener(tmp_path):
+    source = """
+    import time
+
+    async def handshake():
+        time.sleep(0.1)
+    """
+    rules = [f.rule for rule_id in ("RC001", "RC008")
+             for f in scan(tmp_path, "src/repro/serving/listener.py", source, rule_id)]
+    assert rules == ["RC001", "RC008"]
 
 
 # ----------------------------------------------------------------------

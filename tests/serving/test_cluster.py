@@ -88,10 +88,9 @@ class TestMembership:
         assert not table.miss("a", reason="t2")
         assert table.miss("a", reason="t3")  # third strike: newly dead
         assert table.dead() == ["a"]
-        assert table.get("a").deaths == 1
         # Further misses on a corpse are no-ops, not double deaths.
         assert not table.miss("a", reason="t4")
-        assert table.get("a").deaths == 1
+        assert table.dead() == ["a"]
 
     def test_heartbeat_resets_misses_and_revives(self):
         table = self._table()
@@ -101,14 +100,13 @@ class TestMembership:
         assert table.get("a").misses == 0
         table.mark_dead("a", reason="refused")
         assert table.heartbeat("a", summary={"queued": 0})  # dead -> alive
-        assert table.get("a").heals == 1
         assert table.get("a").summary == {"queued": 0}
 
     def test_mark_dead_is_idempotent(self):
         table = self._table()
         assert table.mark_dead("a", reason="refused")
         assert not table.mark_dead("a", reason="again")
-        assert table.get("a").deaths == 1
+        assert table.dead() == ["a"]
 
     def test_deadline_expiry_uses_fake_clock(self):
         table = self._table()
@@ -123,6 +121,23 @@ class TestMembership:
         table = self._table()
         with pytest.raises(ValueError):
             table.add("a", ("127.0.0.1", 2))
+
+    def test_router_counts_each_death_and_heal_once(self):
+        """The router's stats are the only death/heal counters; the
+        snapshot's shard rows read them from there."""
+
+        async def run():
+            router = ClusterRouter({"a": ("127.0.0.1", 1)}, metrics=MetricsRegistry())
+            router._declare_dead("a", reason="refused")
+            router._declare_dead("a", reason="again")  # already dead: no count
+            router._revive("a", {"queued": 0})
+            router._revive("a", {"queued": 0})  # alive -> alive: no heal
+            row = router.snapshot()["shards"]["a"]
+            assert (row["deaths"], row["heals"]) == (1, 1)
+            assert router.stats.deaths_by_node == router.stats.heals_by_node == {"a": 1}
+            await router.aclose()
+
+        asyncio.run(run())
 
 
 class TestRouting:

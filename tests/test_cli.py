@@ -170,3 +170,13 @@ class TestCliWorkflow:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+@pytest.mark.parametrize("listen", ["7433", "localhost:", "localhost:http"])
+@pytest.mark.parametrize(
+    "command", [["serve", "--model-dir", "no-such-model"], ["route", "--shard", "a=127.0.0.1:1"]]
+)
+def test_malformed_listen_exits_2(command, listen, capsys):
+    """Both listener commands reject a bad ``--listen`` before building anything."""
+    assert main([*command, "--listen", listen]) == 2
+    assert f"error: --listen needs HOST:PORT, got {listen!r}" in capsys.readouterr().err
