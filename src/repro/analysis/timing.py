@@ -106,20 +106,27 @@ def profile_pipeline(system, recordings, *, num_points: int, runs: int = 20, see
     the way :meth:`~repro.core.GesturePrint.predict` does: recognition
     computes the set-abstraction geometry, and identification reuses it,
     so ``identification_ms`` is the served marginal cost of identifying
-    the user on top of recognising the gesture.
+    the user on top of recognising the gesture.  A recording that yields
+    no cloud is skipped and its attempt is not timed; ``ValueError`` when
+    no recording yields one.
     """
     from repro.preprocessing.pipeline import normalize_cloud, preprocess_recording
 
     rng = np.random.default_rng(seed)
     timer = StageTimer()
     done = 0
+    attempts = 0
     while done < runs:
-        recording = recordings[done % len(recordings)]
-        with timer.time("preprocessing"):
-            cloud = preprocess_recording(recording)
-            if cloud is None:
-                continue
-            sample = normalize_cloud(cloud, num_points, rng)[None, ...]
+        if attempts == len(recordings) and done == 0:
+            raise ValueError("no recording yields a gesture point cloud")
+        recording = recordings[attempts % len(recordings)]
+        attempts += 1
+        started = time.perf_counter()
+        cloud = preprocess_recording(recording)
+        if cloud is None:
+            continue
+        sample = normalize_cloud(cloud, num_points, rng)[None, ...]
+        timer.record("preprocessing", time.perf_counter() - started)
         with timer.time("recognition"):
             gesture_probs, geometry = system.recognize(sample)
         with timer.time("identification"):

@@ -12,10 +12,10 @@ Paper defaults: N = 50, n = 10, F_thr = 8.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import accumulate
 
 from repro.radar.pointcloud import Frame
 
@@ -82,18 +82,21 @@ class GestureSegmenter:
         """
         if not self._counts:
             return self.params.min_threshold
-        counts = np.fromiter(self._counts, dtype=np.float64)
-        low, high = counts.min(), counts.max()
+        counts = sorted(self._counts)
+        low, high = counts[0], counts[-1]
         if high - low < 2.0:
             return max(high + 1.0, self.params.min_threshold)
+        # Counts are integers, so every prefix sum is exact and
+        # ``prefix[k] / k`` is the correctly rounded mean of the k lowest.
+        prefix = list(accumulate(counts, initial=0))
+        total, size = prefix[-1], len(counts)
         center_low, center_high = low, high
         for _ in range(12):
-            midpoint = 0.5 * (center_low + center_high)
-            below = counts[counts <= midpoint]
-            above = counts[counts > midpoint]
-            if below.size == 0 or above.size == 0:
+            split = bisect_right(counts, 0.5 * (center_low + center_high))
+            if split == 0 or split == size:
                 break
-            new_low, new_high = below.mean(), above.mean()
+            new_low = prefix[split] / split
+            new_high = (total - prefix[split]) / (size - split)
             if new_low == center_low and new_high == center_high:
                 break
             center_low, center_high = new_low, new_high
