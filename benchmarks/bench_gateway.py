@@ -114,8 +114,7 @@ def _server(system, ssl_context=None) -> GatewayServer:
     # unread; a premium round trip crosses ~two such windows plus its
     # own batch, and 3 x 25% leaves wire/GIL headroom inside the SLO.
     scheduler = BatchScheduler(
-        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.25, margin_ms=10.0,
-        adapt_margin=True,
+        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.25, margin_ms=10.0
     )
     engine = InferenceEngine(system, max_batch_size=MAX_BATCH, scheduler=scheduler)
     warm = _samples(3 * NUM_CLIENTS, seed=17)

@@ -103,8 +103,7 @@ def _warm_backend(backend, system, samples: np.ndarray) -> None:
 
 def _server(system, backend) -> GatewayServer:
     scheduler = BatchScheduler(
-        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.25, margin_ms=10.0,
-        adapt_margin=True,
+        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.25, margin_ms=10.0
     )
     engine = InferenceEngine(
         system, max_batch_size=MAX_BATCH, scheduler=scheduler, backend=backend

@@ -418,7 +418,7 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
     """Expose the engine over TCP: the async gateway with SLO classes."""
     import asyncio
 
-    from repro.serving import BatchScheduler, GatewayServer
+    from repro.serving import GatewayServer
     from repro.serving.gateway import TenantDirectory
 
     address = _listen_address(args)
@@ -438,9 +438,6 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
         quota = QuotaLedger(tenants.quota_policy, state_path=args.quota_state)
     system = _apply_serve_precision(args, REGISTRY.load(args.model_dir))
     slo_ms = args.slo_ms if args.slo_ms is not None else 50.0
-    scheduler = BatchScheduler(
-        slo_ms=slo_ms, max_batch=args.max_batch, adapt_margin=True
-    )
     backend = _build_backend(args)
     metrics_server, tracer, trace_log = _build_observability(args)
     tenant_registry = None
@@ -450,11 +447,11 @@ def _cmd_serve_gateway(args: argparse.Namespace) -> int:
         tenant_registry = ModelRegistry(capacity=args.tenant_cache)
     server = GatewayServer(
         system,
-        scheduler=scheduler,
         backend=backend,
         hedge_ms=_hedge_arg(args.hedge_ms),
         tenants=tenants,
         max_batch_size=args.max_batch,
+        slo_ms=slo_ms,
         tracer=tracer,
         node_id=args.node_id,
         tenant_registry=tenant_registry,
@@ -628,14 +625,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         streams[f"device-{i}"] = list(recording.frames)
     num_rounds = max(len(frames) for frames in streams.values())
 
-    # --adaptive-batch without an explicit target gets the default 50 ms
-    # SLO: adaptation and deadline flushes are meaningless without a
-    # budget, and a budget-less scheduler would defer events unboundedly.
-    # --hedge-ms auto pulls in the same default: its threshold is fitted
-    # from the scheduler's latency model, so hedging needs one attached.
+    # --hedge-ms auto without an explicit --slo-ms gets the default 50 ms
+    # SLO: its threshold is fitted from the scheduler's latency model, so
+    # hedging needs one attached.
     slo_ms = args.slo_ms
     hedge_ms = _hedge_arg(args.hedge_ms)
-    if slo_ms is None and (args.adaptive_batch or hedge_ms == "auto"):
+    if slo_ms is None and hedge_ms == "auto":
         slo_ms = 50.0
     scheduler = None
     if slo_ms is not None:
@@ -833,10 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--slo-ms", type=float, default=None,
                        help="p95 span-close -> event-delivery latency target; "
                             "enables the deadline-aware scheduler")
-    serve.add_argument("--adaptive-batch", action="store_true",
-                       help="adapt the batch limit online from observed "
-                            "per-batch latency (EWMA) under the --slo-ms "
-                            "budget (defaults to 50 ms if not given)")
     serve.add_argument("--watch-model", action="store_true",
                        help="re-check the checkpoint between rounds and "
                             "hot-swap an overwritten model without dropping "

@@ -178,8 +178,9 @@ class ClusterRouter(FrameListener):
     shards:
         ``node_id -> "host:port"`` (or ``(host, port)``) for every
         shard.  All start alive; health is then heartbeat-driven.
-    vnodes, probes:
-        :class:`HashRing` balance knobs.
+    vnodes:
+        :class:`HashRing` virtual nodes per shard (lookups use the
+        ring's default probe count).
     heartbeat_s:
         Per-node STATS heartbeat interval; each attempt also times out
         after this long, so a silent (SIGSTOPped) shard is declared
@@ -220,21 +221,19 @@ class ClusterRouter(FrameListener):
         reject with ``auth_failed`` before any shard is contacted.
     """
 
+    name = "repro-router"
+
     def __init__(
         self,
         shards: Mapping[str, str | tuple[str, int]],
         *,
         vnodes: int = 64,
-        probes: int = 8,
         heartbeat_s: float = 0.5,
         miss_limit: int = 3,
         heal_interval_s: float | None = None,
         affinity: bool = True,
         probe_tenant: str = "cluster-probe",
         connect_timeout_s: float = 2.0,
-        max_outbox_frames: int = 1024,
-        handshake_timeout_s: float = 10.0,
-        name: str = "repro-router",
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         ssl_context: ssl.SSLContext | None = None,
@@ -247,7 +246,7 @@ class ClusterRouter(FrameListener):
         self._addresses: dict[str, tuple[str, int]] = {}
         for node_id, address in shards.items():
             self._addresses[str(node_id)] = self._parse_address(address)
-        self.ring = HashRing(self._addresses, vnodes=vnodes, probes=probes)
+        self.ring = HashRing(self._addresses, vnodes=vnodes)
         self.membership = MembershipTable(
             heartbeat_s=heartbeat_s, miss_limit=miss_limit
         )
@@ -265,13 +264,7 @@ class ClusterRouter(FrameListener):
         self.auth = auth
         self.clock = time.monotonic
         super().__init__(
-            RouterStats(),
-            name=name,
-            metrics=metrics,
-            tracer=tracer,
-            ssl_context=ssl_context,
-            max_outbox_frames=max_outbox_frames,
-            handshake_timeout_s=handshake_timeout_s,
+            RouterStats(), metrics=metrics, tracer=tracer, ssl_context=ssl_context
         )
         self._m = _RouterInstruments(self._metrics)
         self._ticket_ids = itertools.count(1)

@@ -78,6 +78,12 @@ from repro.serving.observability.metrics import counted, published, tally, total
 from repro.serving.observability.tracing import TraceRecord, Tracer
 from repro.serving.registry import ModelRegistry
 
+#: Flush-loop tick when nothing kicks it: the precision of hedge
+#: placement and of deadline checks on batches still assembling.
+#: Admissions and landings kick the loop directly, so the tick adds no
+#: latency to a request that finds a backend slot free.
+_POLL_INTERVAL_S = 0.005
+
 
 @dataclass
 class GatewayRequest:
@@ -211,17 +217,16 @@ class GatewayServer(FrameListener):
     system:
         A fitted :class:`~repro.core.pipeline.GesturePrint` (ignored when
         an ``engine`` is passed).
-    engine / scheduler / backend:
-        Share an existing engine, or configure the private one.  The
-        default scheduler targets ``slo_ms`` with the adaptive batch
-        limit *and* the p95 safety-margin controller enabled — a network
-        front-end lives or dies by its tail latency.  ``backend`` picks
-        where batches execute (``repro.serving.backends``; default
-        inline): with a thread or process pool the flush loop overlaps
-        batch execution with socket IO and runs up to ``backend.slots``
-        batches concurrently.  A backend passed here (or riding an
-        external engine) is owned by the caller — close it after
-        ``aclose``.
+    engine / backend:
+        Share an existing engine, or configure the private one, whose
+        scheduler targets ``slo_ms`` with an adaptive batch limit of at
+        most ``max_batch_size`` (``slo_ms=None``: no scheduler).
+        ``backend`` picks where batches execute
+        (``repro.serving.backends``; default inline): with a thread or
+        process pool the flush loop overlaps batch execution with socket
+        IO and runs up to ``backend.slots`` batches concurrently.  A
+        backend passed here (or riding an external engine) is owned by
+        the caller — close it after ``aclose``.
     hedge_ms:
         Tail-latency hedging for the private engine (see
         :class:`~repro.serving.engine.InferenceEngine`): a positive
@@ -236,16 +241,6 @@ class GatewayServer(FrameListener):
         tenants mapped to ``standard``.
     queue_limit:
         Admission-room bound; beyond it the shedding policy engages.
-    poll_interval_s:
-        Flush-loop tick when nothing kicks it: the precision of hedge
-        placement and of deadline checks on batches still assembling.
-        Admissions and landings kick the loop directly, so the tick adds
-        no latency to a request that finds a backend slot free.
-    max_outbox_frames:
-        Per-connection cap on result frames queued for a client that is
-        not reading them; at the cap the connection is dropped and its
-        pending work reclaimed (a slow consumer must not grow server
-        memory without bound).
     reload_hook:
         Zero-arg callable returning the current ``model_version`` after
         re-checking the checkpoint (the CLI wires this to
@@ -293,23 +288,20 @@ class GatewayServer(FrameListener):
         ``aclose`` so budgets survive a restart.
     """
 
+    name = "repro-gateway"
+
     def __init__(
         self,
         system: GesturePrint | None = None,
         *,
         engine: InferenceEngine | None = None,
-        scheduler: BatchScheduler | None = None,
         backend: ExecutionBackend | None = None,
         hedge_ms: float | str | None = None,
         tenants: TenantDirectory | None = None,
         max_batch_size: int = 32,
         slo_ms: float | None = 50.0,
         queue_limit: int = 256,
-        poll_interval_s: float = 0.005,
-        max_outbox_frames: int = 1024,
-        handshake_timeout_s: float = 10.0,
         reload_hook: Callable[[], int] | None = None,
-        name: str = "repro-gateway",
         metrics: MetricsRegistry | None = None,
         tracer: Tracer | None = None,
         node_id: str | None = None,
@@ -331,10 +323,10 @@ class GatewayServer(FrameListener):
         if engine is None:
             if system is None:
                 raise ValueError("pass a fitted system or an engine")
-            if scheduler is None and slo_ms is not None:
+            scheduler = None
+            if slo_ms is not None:
                 scheduler = BatchScheduler(
-                    slo_ms=slo_ms, max_batch=max_batch_size, adapt_margin=True,
-                    metrics=metrics,
+                    slo_ms=slo_ms, max_batch=max_batch_size, metrics=metrics
                 )
             engine = InferenceEngine(
                 system,
@@ -348,14 +340,11 @@ class GatewayServer(FrameListener):
         self.engine = engine
         super().__init__(
             GatewayStats(),
-            name=name,
             metrics=metrics,
             # Gateway-begun traces flow through whatever tracer the
             # engine ended up with (an external engine keeps its own).
             tracer=tracer if tracer is not None else engine.tracer,
             ssl_context=ssl_context,
-            max_outbox_frames=max_outbox_frames,
-            handshake_timeout_s=handshake_timeout_s,
         )
         self._m = _GatewayInstruments(self._metrics)
         self.tenants = tenants if tenants is not None else TenantDirectory()
@@ -364,7 +353,6 @@ class GatewayServer(FrameListener):
             queue_limit=queue_limit,
             clock=self.engine.clock,
         )
-        self.poll_interval_s = poll_interval_s
         self.reload_hook = reload_hook
         self.node_id = node_id
         self._tenant_registry = tenant_registry
@@ -454,7 +442,7 @@ class GatewayServer(FrameListener):
         assert self._kick is not None
         while self._running:
             try:
-                await asyncio.wait_for(self._kick.wait(), self.poll_interval_s)
+                await asyncio.wait_for(self._kick.wait(), _POLL_INTERVAL_S)
             except asyncio.TimeoutError:
                 pass
             self._kick.clear()

@@ -121,15 +121,13 @@ class StreamHub:
         session identifiers) instead of building a private one.
     max_batch_size:
         Forwarded to the private engine.
-    scheduler:
-        Optional :class:`~repro.serving.scheduler.BatchScheduler` for the
-        private engine.  With one attached, :meth:`push_round` *polls*
-        instead of force-flushing: batches accumulate across rounds until
-        the adaptive depth limit or a deadline releases them.
     slo_ms:
-        Per-span latency budget (span close -> event delivery).  Implies
-        a default scheduler when none is given.  Also tagged onto every
-        submitted span as its request deadline.
+        Per-span latency budget (span close -> event delivery), tagged
+        onto every submitted span as its request deadline.  It also gives
+        the private engine a :class:`~repro.serving.scheduler.BatchScheduler`,
+        so :meth:`push_round` *polls* instead of force-flushing: batches
+        accumulate across rounds until the adaptive depth limit or a
+        deadline releases them.
     base_seed:
         Root of the per-stream RNG derivation.
     """
@@ -140,14 +138,14 @@ class StreamHub:
         *,
         engine: InferenceEngine | None = None,
         max_batch_size: int = 32,
-        scheduler: BatchScheduler | None = None,
         slo_ms: float | None = None,
         base_seed: int = 0,
     ) -> None:
         if engine is None:
             if system is None:
                 raise ValueError("pass a fitted system or an engine")
-            if scheduler is None and slo_ms is not None:
+            scheduler = None
+            if slo_ms is not None:
                 scheduler = BatchScheduler(slo_ms=slo_ms, max_batch=max_batch_size)
             engine = InferenceEngine(
                 system, max_batch_size=max_batch_size, scheduler=scheduler

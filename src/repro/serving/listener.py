@@ -105,6 +105,7 @@ class FrameListener:
 
     A subclass supplies only what differs between front-ends:
 
+    * ``name`` — the server name its HELLO replies and STATS report;
     * ``auth`` — the :class:`~repro.serving.gateway.security.
       TenantAuthenticator` checking HELLO bearer tokens (None serves
       unauthenticated);
@@ -128,23 +129,20 @@ class FrameListener:
     """
 
     auth: TenantAuthenticator | None = None
+    name: str
+    #: Seconds a new connection may take to send its HELLO.
+    handshake_timeout_s = 10.0
 
     def __init__(
         self,
         stats,
         *,
-        name: str,
         metrics: MetricsRegistry | None,
         tracer: Tracer | None,
         ssl_context: ssl.SSLContext | None,
-        max_outbox_frames: int,
-        handshake_timeout_s: float,
     ) -> None:
         self.stats = stats
-        self.name = name
         self.tracer = tracer
-        self.max_outbox_frames = max_outbox_frames
-        self.handshake_timeout_s = handshake_timeout_s
         self._ssl_context = ssl_context
         self._metrics = metrics if metrics is not None else get_metrics()
         self._exporter = StatsExporter(self._metrics, stats)
@@ -206,7 +204,7 @@ class FrameListener:
     async def _on_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        connection = _Connection(reader, writer, max_outbox=self.max_outbox_frames)
+        connection = _Connection(reader, writer)
         self.stats.connections_total += 1
         writer_task = asyncio.create_task(connection.write_loop())
         try:

@@ -25,13 +25,6 @@ lone queued span could wait unboundedly for company.
   engine runs the largest batch whose predicted execution time still
   fits inside the latency budget.
 
-A third, optional decision closes the loop end to end: the **p95
-safety-margin controller** (``adapt_margin=True``) watches the sliding
-window of delivered queue latencies and widens the scheduling margin
-when the observed p95 breaches the SLO (flushing earlier buys latency
-back) or narrows it when the p95 sits well under target (bigger batches
-buy throughput back).
-
 The scheduler is a pure policy object: it never touches the queue and
 has no threads.  The engine consults :meth:`should_flush` on every
 ``submit``/``poll`` and reports measurements back through
@@ -47,8 +40,7 @@ and crosses a thread or process boundary.  The engine therefore feeds
 :meth:`observe_batch` the **submit-to-landing wall time** of the backend
 it actually runs on (plus the worker-measured pure execution time via
 ``service_s``), so the EWMA model amortises the *whole* pipeline: the
-adaptive limit prices executor queueing into its budget, the p95 margin
-controller reacts to tail latency the clients really see, and swapping
+adaptive limit prices executor queueing into its budget, and swapping
 backends re-learns the new cost profile within a few batches.
 :meth:`bind_backend` records which backend the observations describe.
 """
@@ -62,6 +54,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Deque
 
 from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
+
+#: Forgetting factor of the latency model; higher adapts faster.
+_EWMA_ALPHA = 0.25
+#: Samples kept in each sliding latency window (p95 estimates).
+_WINDOW = 512
 
 
 def request_order(
@@ -115,9 +112,6 @@ class SchedulerStats:
         "Delivered-latency samples kept out of the p95 window "
         "(rides of retried or hedged batches)",
     )
-    #: Safety-margin controller activity (see ``adapt_margin``).
-    margin_widened: int = 0
-    margin_narrowed: int = 0
     #: Delivered queue latencies (seconds), most recent last.
     queue_window: Deque[float] = field(default_factory=deque, repr=False)
     #: Submit-to-landing wall times (seconds) of recent non-excluded
@@ -138,38 +132,15 @@ class BatchScheduler:
         ``None`` disables deadline-forced flushes: the policy degrades to
         a pure depth threshold (PR 1 behaviour) while still tracking
         latency statistics.
-    min_batch / max_batch:
-        Clamp for the adaptive batch limit.
-    ewma_alpha:
-        Forgetting factor of the latency model; higher adapts faster.
+    max_batch:
+        Upper clamp of the adaptive batch limit (the lower one is 1).
     safety:
         Fraction of the SLO budget the *execution* of a full batch may
         consume; the rest is queueing headroom (keeps p95, not the mean,
         under the target).
     margin_ms:
         Scheduling slack: flush when the earliest deadline's remaining
-        budget falls within ``predicted batch latency + margin``.  With
-        ``adapt_margin`` this is only the starting point.
-    adapt_margin:
-        Enable the p95 safety-margin controller: every ``adapt_every``
-        delivered requests, compare the sliding-window p95 against the
-        SLO and widen the margin (earlier deadline flushes, lower
-        queueing latency) when the p95 breaches the target, or narrow it
-        (larger batches, higher throughput) when the p95 sits comfortably
-        below ``margin_target`` x SLO.  Multiplicative in both directions
-        and clamped to ``margin_bounds_ms``, so one noisy window cannot
-        slam the margin to an extreme.
-    margin_bounds_ms:
-        ``(lo, hi)`` clamp of the adaptive margin, milliseconds.
-    margin_target:
-        Fraction of the SLO the controller steers the observed p95
-        toward; the dead band between ``margin_target * slo`` and the SLO
-        keeps the controller quiet when latency is already on target.
-    adapt_every:
-        Delivered-request interval between controller decisions (also the
-        minimum window fill before the first one).
-    window:
-        Number of delivered-latency samples kept for the p95 estimate.
+        budget falls within ``predicted batch latency + margin``.
     clock:
         Monotonic time source (injectable for deterministic tests).
     metrics:
@@ -185,48 +156,24 @@ class BatchScheduler:
         self,
         *,
         slo_ms: float | None = 50.0,
-        min_batch: int = 1,
         max_batch: int = 64,
-        ewma_alpha: float = 0.25,
         safety: float = 0.8,
         margin_ms: float = 2.0,
-        adapt_margin: bool = False,
-        margin_bounds_ms: tuple[float, float] = (0.5, 25.0),
-        margin_target: float = 0.8,
-        adapt_every: int = 32,
-        window: int = 512,
         clock: Callable[[], float] = time.monotonic,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         if slo_ms is not None and slo_ms < 0:
             raise ValueError("slo_ms must be >= 0")
-        if not 1 <= min_batch <= max_batch:
-            raise ValueError("need 1 <= min_batch <= max_batch")
-        if not 0.0 < ewma_alpha <= 1.0:
-            raise ValueError("ewma_alpha must be in (0, 1]")
+        if max_batch < 1:
+            raise ValueError("max_batch must be >= 1")
         if not 0.0 < safety <= 1.0:
             raise ValueError("safety must be in (0, 1]")
-        if not 0.0 <= margin_bounds_ms[0] <= margin_bounds_ms[1]:
-            raise ValueError("need 0 <= margin_bounds_ms[0] <= margin_bounds_ms[1]")
-        if not 0.0 < margin_target <= 1.0:
-            raise ValueError("margin_target must be in (0, 1]")
-        if adapt_every < 1:
-            raise ValueError("adapt_every must be >= 1")
         self.slo_ms = slo_ms
-        self.min_batch = min_batch
         self.max_batch = max_batch
-        self.ewma_alpha = ewma_alpha
         self.safety = safety
         self.margin_s = margin_ms / 1e3
-        self._initial_margin_s = self.margin_s
-        self.adapt_margin = adapt_margin
-        self.margin_bounds_s = (margin_bounds_ms[0] / 1e3, margin_bounds_ms[1] / 1e3)
-        self.margin_target = margin_target
-        self.adapt_every = adapt_every
-        self._since_adapt = 0
         self.clock = clock
         self.stats = SchedulerStats()
-        self._window = window
         # EW moments of (batch_size, latency) for the linear model.
         self._mx = self._my = self._mxx = self._mxy = 0.0
         self._fitted = False
@@ -270,7 +217,7 @@ class BatchScheduler:
         ``mean_latency / mean_batch``: a noisier slope (batch sizes that
         barely vary make ``cov/var`` explode) would feed back into a
         smaller batch limit, whose higher amortised cost shrinks the
-        limit further — a ratchet to ``min_batch``.  The amortised bound
+        limit further — a ratchet to batches of one.  The amortised bound
         turns that loop into a stable fixed point at the largest batch
         whose execution fits the budget.
         """
@@ -304,7 +251,7 @@ class BatchScheduler:
         if per_sample <= 0.0:
             return self.max_batch
         limit = int((budget - overhead) / per_sample)
-        return max(self.min_batch, min(limit, self.max_batch))
+        return max(1, min(limit, self.max_batch))
 
     # ------------------------------------------------------------------
     def should_flush(
@@ -343,9 +290,8 @@ class BatchScheduler:
 
         Called by the engine at construction.  If the backend actually
         *changes* (a different name than previously bound), the whole
-        learned state is reset — the EWMA latency model, the p95
-        queue-latency window, and an adapted safety margin: costs and
-        tails learned on one backend — e.g. the inline path's zero
+        learned state is reset — the EWMA latency model and the p95
+        latency windows: costs and tails learned on one backend — e.g. the inline path's zero
         queueing — would misprice the next.
         """
         if self.backend_name is not None and self.backend_name != name:
@@ -355,8 +301,6 @@ class BatchScheduler:
             self._wait_fitted = False
             self.stats.queue_window.clear()
             self.stats.wall_window.clear()
-            self._since_adapt = 0
-            self.margin_s = self._initial_margin_s
         self.backend_name = name
         self.backend_slots = max(int(slots), 1)
 
@@ -400,8 +344,8 @@ class BatchScheduler:
             if not self._wait_fitted:
                 self._mwait, self._wait_fitted = wait, True
             else:
-                self._mwait += self.ewma_alpha * (wait - self._mwait)
-        a = self.ewma_alpha
+                self._mwait += _EWMA_ALPHA * (wait - self._mwait)
+        a = _EWMA_ALPHA
         if not self._fitted:
             self._mx, self._my = float(batch_size), float(latency_s)
             self._mxx = float(batch_size) ** 2
@@ -415,61 +359,25 @@ class BatchScheduler:
         self.stats.observed_batches += 1
         wall = self.stats.wall_window
         wall.append(float(latency_s))
-        while len(wall) > self._window:
+        while len(wall) > _WINDOW:
             wall.popleft()
 
     def record_queue_latency(self, latency_s: float, *, excluded: bool = False) -> None:
         """Record one delivered request's submit -> delivery latency.
 
-        With ``adapt_margin`` this is also the controller's sensor: every
-        ``adapt_every`` deliveries the sliding-window p95 is compared
-        against the SLO and the safety margin nudged (see
-        :meth:`_adapt_margin_once`).
-
         ``excluded`` marks samples that rode a retried or hedged batch:
         their latency prices crash recovery or a deliberately delayed
-        hedge race, not the policy the controller is steering — feeding
-        them in would widen the margin on every hedge and ratchet the
-        engine toward panic batch-1 flushes.  Excluded samples are
-        counted but kept out of the sliding window entirely.
+        hedge race, not the batching policy the p95 reports on.
+        Excluded samples are counted but kept out of the sliding window
+        entirely.
         """
         if excluded:
             self.stats.excluded_latency_samples += 1
             return
         window = self.stats.queue_window
         window.append(latency_s)
-        while len(window) > self._window:
+        while len(window) > _WINDOW:
             window.popleft()
-        if self.adapt_margin and self.slo_s is not None:
-            self._since_adapt += 1
-            if self._since_adapt >= self.adapt_every and len(window) >= self.adapt_every:
-                self._since_adapt = 0
-                self._adapt_margin_once()
-
-    def _adapt_margin_once(self) -> None:
-        """One controller step: widen on a p95 breach, narrow when slack.
-
-        Multiplicative moves (x1.5 up, x0.85 down) with a dead band in
-        between: widening reacts fast because a breach is already
-        user-visible, narrowing creeps so throughput is reclaimed without
-        oscillating straight back into a breach.
-        """
-        p95_ms = self.queue_p95_ms
-        if p95_ms is None:
-            return
-        lo, hi = self.margin_bounds_s
-        if p95_ms > self.slo_ms:
-            # The 0.5 ms seed lets widening escape a zero margin (x1.5
-            # alone would pin it there forever).
-            widened = min(max(self.margin_s, lo, 5e-4) * 1.5, hi)
-            if widened > self.margin_s:
-                self.margin_s = widened
-                self.stats.margin_widened += 1
-        elif p95_ms < self.margin_target * self.slo_ms:
-            narrowed = max(self.margin_s * 0.85, lo)
-            if narrowed < self.margin_s:
-                self.margin_s = narrowed
-                self.stats.margin_narrowed += 1
 
     def hedge_threshold_s(self, batch_size: int) -> float | None:
         """Age (s) past which an airborne batch deserves a hedge copy.
@@ -521,8 +429,6 @@ class BatchScheduler:
             "overhead_ms": overhead * 1e3,
             "per_sample_ms": per_sample * 1e3,
             "margin_ms": self.margin_s * 1e3,
-            "margin_widened": self.stats.margin_widened,
-            "margin_narrowed": self.stats.margin_narrowed,
             "depth_flushes": self.stats.depth_flushes,
             "deadline_flushes": self.stats.deadline_flushes,
             "idle_flushes": self.stats.idle_flushes,

@@ -1,4 +1,8 @@
-"""Shared fixtures for the serving-layer tests: one tiny fitted system."""
+"""Shared fixtures for the serving-layer tests: one tiny fitted system,
+a hand-released execution backend and a manual clock."""
+
+import time
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -6,6 +10,7 @@ import pytest
 from repro.core import GesturePrint, GesturePrintConfig, TrainConfig
 from repro.core.gesidnet import GesIDNetConfig
 from repro.nn.setabstraction import ScaleSpec
+from repro.serving.backends import ExecutionBackend
 
 NUM_POINTS = 12
 NUM_CHANNELS = 8
@@ -68,3 +73,61 @@ def fitted_b(toy_data):
         augment=False,
     )
     return GesturePrint(config).fit(x, g, u)
+
+
+class ManualClock:
+    """Monotonic clock that moves only when a test advances it."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+class GateBackend(ExecutionBackend):
+    """Airborne batches land only when the test releases them.
+
+    Execution happens inline at release time, so tests control exactly
+    when a batch "lands" without any real concurrency or sleeps.
+    Submitted futures stay *pending* (not running), so a cancelled hedge
+    loser is observably ``cancelled()`` exactly like a queued duplicate
+    a real executor never started.
+    """
+
+    name = "gate"
+    slots = 4
+
+    def __init__(self):
+        self.held: list[tuple[Future, object, np.ndarray]] = []
+
+    def submit(self, system, batch):
+        future = Future()
+        self.held.append((future, system, batch))
+        return future
+
+    def release_at(self, index: int) -> bool:
+        """Land the ``index``-th held batch; False if it was cancelled."""
+        future, system, batch = self.held.pop(index)
+        if not future.set_running_or_notify_cancel():
+            return False  # cancelled loser: a real executor would skip it too
+        start = time.perf_counter()
+        try:
+            result = system.predict(batch)
+        except Exception as error:
+            future.set_exception(error)
+        else:
+            future.set_result((result, time.perf_counter() - start))
+        return True
+
+    def release(self, count: int | None = None) -> int:
+        """Land the oldest ``count`` held batches (all by default)."""
+        count = len(self.held) if count is None else min(count, len(self.held))
+        return sum(self.release_at(0) for _ in range(count))
+
+    def release_all(self) -> None:
+        while self.held:
+            self.release_at(0)

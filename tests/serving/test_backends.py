@@ -11,7 +11,6 @@ to the dead.
 
 import threading
 import time
-from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -25,7 +24,8 @@ from repro.serving import (
     ThreadPoolBackend,
     create_backend,
 )
-from repro.serving.backends import ExecutionBackend
+
+from .conftest import GateBackend
 
 
 def _assert_same_result(a, b):
@@ -33,39 +33,6 @@ def _assert_same_result(a, b):
     assert a.user == b.user
     assert np.array_equal(a.gesture_probs, b.gesture_probs)
     assert np.array_equal(a.user_probs, b.user_probs)
-
-
-class GateBackend(ExecutionBackend):
-    """Deterministic airborne batches: submissions wait for release().
-
-    Execution happens inline at release time, so tests control exactly
-    when a batch "lands" without any real concurrency or sleeps.
-    """
-
-    name = "gate"
-    slots = 4
-
-    def __init__(self):
-        self.held: list[tuple[Future, object, np.ndarray]] = []
-
-    def submit(self, system, batch):
-        future = Future()
-        future.set_running_or_notify_cancel()
-        self.held.append((future, system, batch))
-        return future
-
-    def release(self, count: int | None = None) -> int:
-        batch_count = len(self.held) if count is None else count
-        released, self.held = self.held[:batch_count], self.held[batch_count:]
-        for future, system, batch in released:
-            start = time.perf_counter()
-            try:
-                result = system.predict(batch)
-            except Exception as error:
-                future.set_exception(error)
-            else:
-                future.set_result((result, time.perf_counter() - start))
-        return len(released)
 
 
 @pytest.fixture(scope="module")
@@ -304,18 +271,16 @@ class TestLifecycle:
     def test_bind_backend_change_resets_learned_state(self):
         from repro.serving import BatchScheduler
 
-        scheduler = BatchScheduler(slo_ms=50.0, adapt_margin=True, margin_ms=2.0)
+        scheduler = BatchScheduler(slo_ms=50.0)
         scheduler.bind_backend("process", 4)
         scheduler.observe_batch(4, 0.010)
         scheduler.record_queue_latency(0.5)
-        scheduler.margin_s = 0.02  # as if the controller widened it
         scheduler.bind_backend("inline", 1)
         snap = scheduler.snapshot()
         assert snap["backend"] == "inline" and snap["backend_slots"] == 1
         assert snap["observed_batches"] == 1  # counters keep history...
         assert snap["per_sample_ms"] == 0.0  # ...but the model is fresh
         assert not scheduler.stats.queue_window
-        assert scheduler.margin_s == pytest.approx(2.0 / 1e3)
 
 
 class TestFactoryAndRegistryArenas:

@@ -24,7 +24,7 @@ from repro.serving.gateway import (
 from repro.serving.gateway.protocol import Frame, FrameType
 from repro.serving.observability import MetricsRegistry, Tracer
 
-from .test_backends import GateBackend
+from .conftest import GateBackend
 
 
 def _samples(toy_data, count, seed=0):

@@ -12,8 +12,9 @@ threshold.  The invariants under test:
 * a disconnected tenant (``discard_pending``) receives nothing from
   either copy;
 * hedged batches are invisible to the scheduler's latency model: no
-  EWMA update, no p95-window samples — so the safety-margin controller
-  cannot be poisoned by duplicated (or recovery-priced) wall times;
+  EWMA update, no p95-window samples — so neither the adaptive batch
+  limit nor the reported p95 is priced by duplicated (or
+  recovery-priced) wall times;
 * end-to-end over a real process pool: a worker wedged by
   ``inject_fault("hang_in_task")`` is out-raced by the hedge on the
   healthy worker.
@@ -22,62 +23,12 @@ The deterministic tests drive a hand-released gate backend with a
 manual clock, so hedge timing is exact and no test sleeps.
 """
 
-import time
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 
 from repro.serving import BatchScheduler, InferenceEngine, ProcessPoolBackend
-from repro.serving.backends import ExecutionBackend
 
-
-class ManualClock:
-    def __init__(self):
-        self.now = 0.0
-
-    def __call__(self) -> float:
-        return self.now
-
-    def advance(self, seconds: float) -> None:
-        self.now += seconds
-
-
-class GateBackend(ExecutionBackend):
-    """Airborne batches land only when the test releases them.
-
-    Unlike the thread/process pools, submitted futures stay *pending*
-    (not running), so a cancelled loser is observably ``cancelled()``
-    exactly like a queued duplicate a real executor never started.
-    """
-
-    name = "gate"
-    slots = 4
-
-    def __init__(self):
-        self.held: list[tuple[Future, object, np.ndarray]] = []
-
-    def submit(self, system, batch):
-        future = Future()
-        self.held.append((future, system, batch))
-        return future
-
-    def release_at(self, index: int) -> None:
-        future, system, batch = self.held.pop(index)
-        if not future.set_running_or_notify_cancel():
-            return  # cancelled loser: a real executor would skip it too
-        start = time.perf_counter()
-        try:
-            result = system.predict(batch)
-        except Exception as error:
-            future.set_exception(error)
-        else:
-            future.set_result((result, time.perf_counter() - start))
-
-    def release_all(self) -> None:
-        while self.held:
-            self.release_at(0)
-
+from .conftest import GateBackend, ManualClock
 
 HEDGE_MS = 50.0
 
@@ -260,23 +211,6 @@ class TestSchedulerHygiene:
         assert scheduler.stats.hedged_batches == 1
         assert len(scheduler.stats.queue_window) == window_len  # no samples
         assert scheduler.stats.excluded_latency_samples == 3
-
-    def test_margin_controller_stable_under_hedge_rate(self):
-        """Satellite-6 regression: 10% hedged deliveries with wild wall
-        times must not widen the p95 safety margin."""
-        scheduler = BatchScheduler(slo_ms=50.0, max_batch=8, adapt_margin=True)
-        control = BatchScheduler(slo_ms=50.0, max_batch=8, adapt_margin=True)
-        for i in range(320):
-            scheduler.record_queue_latency(0.010)
-            control.record_queue_latency(0.010)
-            if i % 10 == 0:  # every tenth delivery rode a hedged batch
-                scheduler.record_queue_latency(5.0, excluded=True)
-        assert scheduler.stats.excluded_latency_samples == 32
-        assert max(scheduler.stats.queue_window) <= 0.010 + 1e-9
-        # Bit-for-bit the margin trajectory of a hedge-free run.
-        assert scheduler.margin_s == control.margin_s
-        assert scheduler.stats.margin_widened == control.stats.margin_widened
-        assert scheduler.stats.margin_narrowed == control.stats.margin_narrowed
 
     def test_auto_threshold_tracks_flight_clock_not_arrival_clock(self):
         """The threshold is compared against a *flight age* (dispatch to

@@ -32,13 +32,13 @@ async def _wait_for(predicate, timeout_s=5.0):
 
 async def _open_edge(fitted, edge, metrics):
     """``(listeners to close, the edge under test, its address)``."""
-    shard = GatewayServer(fitted, metrics=metrics, handshake_timeout_s=0.2)
+    shard = GatewayServer(fitted, metrics=metrics)
+    shard.handshake_timeout_s = 0.2
     address = await shard.start()
     if edge == "gateway":
         return [shard], shard, address
-    router = ClusterRouter(
-        {"a": address}, heartbeat_s=0.2, metrics=metrics, handshake_timeout_s=0.2
-    )
+    router = ClusterRouter({"a": address}, heartbeat_s=0.2, metrics=metrics)
+    router.handshake_timeout_s = 0.2
     return [router, shard], router, await router.start()
 
 

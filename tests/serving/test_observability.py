@@ -39,6 +39,8 @@ from repro.serving.observability import (
     render_text,
 )
 
+from .conftest import GateBackend, ManualClock
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -301,8 +303,6 @@ class TestTraceLifecycle:
 # ----------------------------------------------------------------------
 class TestHedgedTraces:
     def test_hedged_ticket_single_terminal(self, fitted, toy_data):
-        from .test_hedging import GateBackend, ManualClock
-
         x, _, _ = toy_data
         clock = ManualClock()
         backend = GateBackend()
@@ -333,8 +333,6 @@ class TestHedgedTraces:
                                   {"backend": "gate"}) == 1.0
 
     def test_primary_win_clears_hedge_flag_correctly(self, fitted, toy_data):
-        from .test_hedging import GateBackend, ManualClock
-
         x, _, _ = toy_data
         clock = ManualClock()
         backend = GateBackend()

@@ -25,13 +25,9 @@ class TestValidation:
 
     def test_bad_batch_bounds_rejected(self):
         with pytest.raises(ValueError):
-            BatchScheduler(min_batch=0)
-        with pytest.raises(ValueError):
-            BatchScheduler(min_batch=8, max_batch=4)
+            BatchScheduler(max_batch=0)
 
     def test_bad_alpha_and_safety_rejected(self):
-        with pytest.raises(ValueError):
-            BatchScheduler(ewma_alpha=0.0)
         with pytest.raises(ValueError):
             BatchScheduler(safety=1.5)
 
@@ -79,11 +75,9 @@ class TestAdaptation:
         assert scheduler.batch_limit == 20
 
     def test_limit_clamps_to_bounds(self):
-        scheduler = BatchScheduler(
-            slo_ms=10.0, min_batch=2, max_batch=8, safety=0.8
-        )
+        scheduler = BatchScheduler(slo_ms=10.0, max_batch=8, safety=0.8)
         scheduler.observe_batch(4, 0.200)  # 50 ms/sample: budget fits 0
-        assert scheduler.batch_limit == 2
+        assert scheduler.batch_limit == 1
         scheduler = BatchScheduler(slo_ms=1000.0, max_batch=8, safety=0.8)
         scheduler.observe_batch(4, 0.001)
         assert scheduler.batch_limit == 8
@@ -109,7 +103,7 @@ class TestAdaptation:
     def test_constant_batch_sizes_do_not_death_spiral(self):
         """With near-constant batch sizes the slope is noise; the
         amortised fallback must keep the limit at a stable fixed point
-        instead of ratcheting down to min_batch."""
+        instead of ratcheting down to batches of one."""
         scheduler = BatchScheduler(slo_ms=100.0, max_batch=64, safety=0.8)
         # Overhead-heavy truth: exec(B) = 40 ms + 1 ms * B.
         limit_history = []
@@ -119,7 +113,7 @@ class TestAdaptation:
             batch = scheduler.batch_limit
             limit_history.append(batch)
         assert limit_history[-1] >= 30  # equilibrium exec(B) ~= budget
-        assert min(limit_history) > scheduler.min_batch
+        assert min(limit_history) > 1
 
     def test_queue_p95(self):
         scheduler = BatchScheduler(slo_ms=50.0)
@@ -136,99 +130,6 @@ class TestAdaptation:
         assert snap["observed_batches"] == 1
         assert snap["batch_limit"] == scheduler.batch_limit
         assert snap["margin_ms"] == pytest.approx(2.0)
-
-
-class TestMarginController:
-    """p95 safety-margin feedback loop (adapt_margin=True)."""
-
-    @staticmethod
-    def _controller(**kwargs):
-        defaults = dict(
-            slo_ms=50.0, adapt_margin=True, adapt_every=16,
-            margin_bounds_ms=(0.5, 25.0), margin_ms=2.0,
-        )
-        defaults.update(kwargs)
-        return BatchScheduler(**defaults)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            self._controller(margin_bounds_ms=(5.0, 1.0))
-        with pytest.raises(ValueError):
-            self._controller(margin_target=0.0)
-        with pytest.raises(ValueError):
-            self._controller(adapt_every=0)
-
-    def test_breached_p95_widens_margin(self):
-        scheduler = self._controller()
-        for _ in range(16):
-            scheduler.record_queue_latency(0.060)  # 60 ms > 50 ms SLO
-        assert scheduler.margin_s == pytest.approx(0.003)  # 2 ms * 1.5
-        assert scheduler.stats.margin_widened == 1
-
-    def test_comfortable_p95_narrows_margin(self):
-        scheduler = self._controller()
-        for _ in range(16):
-            scheduler.record_queue_latency(0.010)  # far below 0.8 * SLO
-        assert scheduler.margin_s == pytest.approx(0.0017)  # 2 ms * 0.85
-        assert scheduler.stats.margin_narrowed == 1
-
-    def test_dead_band_leaves_margin_alone(self):
-        scheduler = self._controller()
-        for _ in range(48):
-            scheduler.record_queue_latency(0.045)  # inside [0.8*SLO, SLO]
-        assert scheduler.margin_s == pytest.approx(0.002)
-        assert scheduler.stats.margin_widened == 0
-        assert scheduler.stats.margin_narrowed == 0
-
-    def test_margin_clamped_to_bounds(self):
-        scheduler = self._controller(margin_bounds_ms=(1.0, 6.0))
-        for _ in range(16 * 10):  # ten breach decisions
-            scheduler.record_queue_latency(0.200)
-        assert scheduler.margin_s == pytest.approx(0.006)  # upper clamp
-        scheduler = self._controller(margin_bounds_ms=(1.5, 6.0))
-        for _ in range(16 * 10):
-            scheduler.record_queue_latency(0.001)
-        assert scheduler.margin_s == pytest.approx(0.0015)  # lower clamp
-
-    def test_decisions_are_paced_by_adapt_every(self):
-        scheduler = self._controller(adapt_every=32)
-        for _ in range(31):
-            scheduler.record_queue_latency(0.060)
-        assert scheduler.stats.margin_widened == 0  # not yet
-        scheduler.record_queue_latency(0.060)
-        assert scheduler.stats.margin_widened == 1
-
-    def test_disabled_by_default_and_without_slo(self):
-        scheduler = BatchScheduler(slo_ms=50.0)
-        for _ in range(200):
-            scheduler.record_queue_latency(0.500)
-        assert scheduler.margin_s == pytest.approx(0.002)  # untouched
-        scheduler = BatchScheduler(slo_ms=None, adapt_margin=True)
-        for _ in range(200):
-            scheduler.record_queue_latency(0.500)
-        assert scheduler.margin_s == pytest.approx(0.002)
-
-    def test_widened_margin_forces_earlier_flushes(self):
-        """The control output actually reaches the flush policy — and
-        widening escapes even a zero margin (the 0.5 ms seed)."""
-        scheduler = self._controller(margin_ms=0.0, margin_bounds_ms=(0.0, 25.0))
-        assert not scheduler.should_flush(2, slack_s=0.0006)
-        for _ in range(16):
-            scheduler.record_queue_latency(0.060)
-        assert scheduler.margin_s == pytest.approx(0.00075)  # 0.5 ms * 1.5
-        assert scheduler.should_flush(2, slack_s=0.0006)
-
-    def test_recovers_throughput_after_transient_spike(self):
-        """Widen on a spike, then creep back down once p95 recovers."""
-        scheduler = self._controller(window=64, adapt_every=16)
-        for _ in range(64):
-            scheduler.record_queue_latency(0.080)  # sustained breach
-        widened = scheduler.margin_s
-        assert widened > 0.002
-        for _ in range(256):
-            scheduler.record_queue_latency(0.005)  # calm again
-        assert scheduler.margin_s < widened
-        assert scheduler.stats.margin_narrowed >= 1
 
 
 class TestRequestOrder:

@@ -20,7 +20,7 @@ from repro.serving.gateway import (
 )
 from repro.serving.observability.metrics import MetricsRegistry
 
-from .test_hedging import GateBackend, ManualClock
+from .conftest import GateBackend, ManualClock
 
 #: Far longer than a batch-of-1 forward pass of the toy system, far
 #: shorter than the hang a deadline-driven gateway shows on a frozen clock.
@@ -36,9 +36,7 @@ class OneSlotGate(GateBackend):
 def _gateway(fitted, *, backend=None, tenants=None):
     clock = ManualClock()
     metrics = MetricsRegistry()
-    scheduler = BatchScheduler(
-        slo_ms=50.0, max_batch=16, adapt_margin=True, clock=clock, metrics=metrics
-    )
+    scheduler = BatchScheduler(slo_ms=50.0, max_batch=16, clock=clock, metrics=metrics)
     engine = InferenceEngine(
         fitted, max_batch_size=16, scheduler=scheduler, backend=backend,
         metrics=metrics,

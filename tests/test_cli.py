@@ -128,6 +128,8 @@ class TestCliWorkflow:
             stats = client.stats()
             assert stats["engine"]["requests"] == 1
             assert stats["tenants"]["cli-vip"]["delivered"] == 1
+            assert stats["scheduler"]["slo_ms"] == 50.0
+            assert stats["scheduler"]["batch_limit"] <= 32
         gateway.join(timeout=30)  # drain its prints before the next section
         assert not gateway.is_alive()
         capsys.readouterr()
@@ -135,7 +137,7 @@ class TestCliWorkflow:
         # Deadline-aware serving: SLO scheduler + checkpoint watching.
         code = main([
             "serve", "--model-dir", model_dir, "--streams", "4", "--seed", "2",
-            "--slo-ms", "50", "--adaptive-batch",
+            "--slo-ms", "50",
             "--watch-model", "--watch-every", "20",
         ])
         out = capsys.readouterr().out
