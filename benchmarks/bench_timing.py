@@ -10,9 +10,11 @@ local CPU.  Shape: total processing time stays below the average gesture
 duration.  This file also carries the only true micro-benchmarks in the
 suite (pytest-benchmark timing of preprocessing and inference) and the
 median wall time of one ``GesturePrint.predict`` call at batch sizes
-1/8/32 — the in-process cost of a served micro-batch.
+1/8/32 — the in-process cost of a served micro-batch, on the unfrozen
+path of a fresh fit and on the frozen path a served system takes.
 """
 
+import copy
 import time
 
 import numpy as np
@@ -117,22 +119,36 @@ PREDICT_REPS = 15
 
 
 def test_predict_batch_latency(fitted_system, dataset):
-    """Median ms per ``GesturePrint.predict`` call at each batch size."""
-    widths = (8, 16, 14)
+    """Median ms per ``GesturePrint.predict`` call at each batch size.
+
+    A fresh fit is unfrozen (batch-norm folds and ``W^T`` copies rebuilt
+    every forward); a served system is frozen (built once).  Both are
+    timed, interleaved, so the ratio is the frozen path's gain.
+    """
+    frozen_system = copy.deepcopy(fitted_system).freeze()
+    systems = {"unfrozen": fitted_system, "frozen": frozen_system}
+    widths = (8, 10, 16, 14)
     lines = [
         "GesturePrint.predict — median wall time per call (gesture + ID forwards)",
-        format_row(("batch", "median ms/call", "ms per row"), widths),
+        format_row(("batch", "path", "median ms/call", "ms per row"), widths),
     ]
     for batch in PREDICT_BATCHES:
         inputs = dataset.inputs[np.resize(np.arange(len(dataset.inputs)), batch)]
-        fitted_system.predict(inputs)  # warm-up
-        times = []
+        times = {name: [] for name in systems}
+        for system in systems.values():
+            system.predict(inputs)  # warm-up
         for _ in range(PREDICT_REPS):
-            start = time.perf_counter()
-            fitted_system.predict(inputs)
-            times.append(time.perf_counter() - start)
-        median_ms = 1000.0 * float(np.median(times))
-        lines.append(
-            format_row((batch, f"{median_ms:.2f}", f"{median_ms / batch:.3f}"), widths)
-        )
+            for name, system in systems.items():
+                start = time.perf_counter()
+                system.predict(inputs)
+                times[name].append(time.perf_counter() - start)
+        medians = {name: 1000.0 * float(np.median(t)) for name, t in times.items()}
+        for name, median_ms in medians.items():
+            lines.append(
+                format_row(
+                    (batch, name, f"{median_ms:.2f}", f"{median_ms / batch:.3f}"), widths
+                )
+            )
+        ratio = medians["unfrozen"] / medians["frozen"]
+        lines.append(f"  b={batch}: unfrozen / frozen = {ratio:.2f}x")
     emit("timing_predict", lines)

@@ -155,7 +155,7 @@ def save_system(system: GesturePrint, directory: str | os.PathLike) -> None:
 
 
 def load_system(directory: str | os.PathLike) -> GesturePrint:
-    """Restore a system saved by :func:`save_system`, ready for predict()."""
+    """Restore a system saved by :func:`save_system`, frozen for predict()."""
     path = pathlib.Path(directory)
     manifest_path = path / MANIFEST_NAME
     if not manifest_path.exists():
@@ -168,8 +168,7 @@ def load_system(directory: str | os.PathLike) -> GesturePrint:
     system, slots = _build_skeleton(manifest)
     for name, model in slots:
         load_state(model, path / f"{name}.npz")
-        model.eval()
-    return system
+    return system.freeze()
 
 
 # ----------------------------------------------------------------------
@@ -225,7 +224,8 @@ def load_system_flat(directory: str | os.PathLike) -> GesturePrint:
     codes).  A float64 bundle predicts byte-identically to the exporting
     system; float32/int8 bundles are stamped with ``serve_precision`` so
     :meth:`~repro.core.pipeline.GesturePrint.predict` runs its forwards
-    in float32.
+    in float32.  The system comes back frozen; ``train()`` on it leaves
+    the mmap views read-only.
     """
     path = pathlib.Path(directory)
     manifest_path = path / FLAT_MANIFEST_NAME
@@ -249,9 +249,8 @@ def load_system_flat(directory: str | os.PathLike) -> GesturePrint:
         if name not in sections:
             raise ValueError(f"flat bundle is missing section {name!r}")
         load_flat_mmap(model, arena, manifest=sections[name], precision=precision)
-        model.eval()
     system.serve_precision = precision
-    return system
+    return system.freeze()
 
 
 def prefetch_arena(directory: str | os.PathLike) -> int:

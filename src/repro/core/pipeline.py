@@ -214,6 +214,26 @@ class GesturePrint:
             )
         return self
 
+    def models(self) -> list[GesIDNet]:
+        """Every fitted model: gesture, per-gesture ID, then parallel ID."""
+        models = [self.gesture_model] if self.gesture_model is not None else []
+        models.extend(self.user_models.values())
+        if self.parallel_user_model is not None:
+            models.append(self.parallel_user_model)
+        return models
+
+    def freeze(self) -> "GesturePrint":
+        """Freeze every model for serving (:meth:`repro.nn.Module.freeze`).
+
+        The weights become read-only and each model folds its batch-norms
+        and transposes its dense weights once instead of every forward.
+        Posteriors are unchanged bit for bit.  Fine-tuning calls
+        ``train()`` first, which unlocks them again.
+        """
+        for model in self.models():
+            model.freeze()
+        return self
+
     # ------------------------------------------------------------------
     def _require_fitted(self) -> None:
         if self.gesture_model is None:

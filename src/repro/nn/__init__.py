@@ -14,7 +14,8 @@ Conventions
   receives the upstream gradient and returns the input gradient while
   accumulating parameter gradients into ``Parameter.grad``.
 * Training/eval behaviour (dropout, batch-norm statistics) is switched
-  with ``module.train()`` / ``module.eval()``.
+  with ``module.train()`` / ``module.eval()``; ``module.freeze()`` is
+  eval with the weights locked read-only for serving.
 """
 
 from repro.nn.module import Module, Parameter, Sequential

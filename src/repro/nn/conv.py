@@ -8,6 +8,8 @@ into the conv (Jacob et al., CVPR 2018), so each block is one matmul.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from repro.nn.layers import BatchNorm, ReLU
@@ -80,10 +82,12 @@ class SharedMLP(Module):
     Train mode runs the blocks one by one.  Eval mode folds each
     batch-norm into its conv: with ``scale = gamma / sqrt(var + eps)``,
     ``W' = W * scale[:, None]`` and ``b' = (b - mean) * scale + beta``,
-    so a block is one matmul, one in-place bias add and the ReLU.  The
-    folded values are rebuilt every forward (O(out*in)) rather than
-    cached, for the reason :meth:`Linear._transposed_weight` gives:
-    optimizers and gradient checks mutate ``weight.data`` in place.
+    so a block is one matmul, one in-place bias add and the ReLU.  Plain
+    eval rebuilds the folded values every forward (O(out*in)), because
+    optimizers and gradient checks may write ``weight.data`` in place
+    between forwards.  :meth:`freeze` locks the weights read-only and
+    folds once; the fold is rebuilt only if a loader has since replaced
+    one of the arrays it was built from.
     """
 
     def __init__(
@@ -99,19 +103,62 @@ class SharedMLP(Module):
         for in_ch, out_ch in zip(channels[:-1], channels[1:]):
             self.blocks += [Conv1x1(in_ch, out_ch, rng=rng), BatchNorm(out_ch), ReLU()]
         self._folded = False
+        #: ``(source arrays, [(W', b') per block])`` while frozen.
+        self._frozen_fold: tuple[list[np.ndarray], list] | None = None
 
     def _triples(self):
         return zip(self.blocks[0::3], self.blocks[1::3], self.blocks[2::3])
 
+    def _fold_sources(self) -> list[np.ndarray]:
+        sources: list[np.ndarray] = []
+        for conv, norm, _ in self._triples():
+            sources += (
+                conv.weight.data,
+                conv.bias.data,
+                norm.gamma.data,
+                norm.beta.data,
+                norm.running_mean,
+                norm.running_var,
+            )
+        return sources
+
+    def _fold(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        folded = []
+        for conv, norm, _ in self._triples():
+            scale = norm.gamma.data / np.sqrt(norm.running_var + norm.eps)
+            weight = conv.weight.data * scale[:, None]
+            bias = (conv.bias.data - norm.running_mean) * scale + norm.beta.data
+            folded.append((weight, bias))
+        return folded
+
+    def _folded_blocks(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        if not self.frozen:
+            return self._fold()
+        # The cache holds only while its sources are the same objects: a
+        # loader that reassigns an array (rather than writing into it,
+        # which the lock forbids) gets a fresh fold.
+        if self._frozen_fold is None or not all(
+            map(operator.is_, self._frozen_fold[0], self._fold_sources())
+        ):
+            self.freeze()
+        return self._frozen_fold[1]
+
+    def freeze(self) -> "SharedMLP":
+        super().freeze()
+        self._frozen_fold = (self._fold_sources(), self._fold())
+        return self
+
+    def train(self) -> "SharedMLP":
+        self._frozen_fold = None
+        return super().train()
+
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._folded = not self.training
-        for conv, norm, relu in self._triples():
-            if self._folded:
-                scale = norm.gamma.data / np.sqrt(norm.running_var + norm.eps)
-                weight = conv.weight.data * scale[:, None]
-                bias = (conv.bias.data - norm.running_mean) * scale + norm.beta.data
+        if self._folded:
+            for (conv, _, relu), (weight, bias) in zip(self._triples(), self._folded_blocks()):
                 x = relu.forward_owned(conv.forward_affine(x, weight, bias))
-            else:
+        else:
+            for conv, norm, relu in self._triples():
                 x = relu.forward_owned(norm(conv(x)))
         return x
 

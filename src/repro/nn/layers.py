@@ -35,6 +35,8 @@ class Linear(Module):
         self.weight = Parameter(_kaiming_uniform(rng, in_features, (out_features, in_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
         self._input: np.ndarray | None = None
+        #: ``(weight.data, W^T copy)`` while frozen.
+        self._frozen_t: tuple[np.ndarray, np.ndarray] | None = None
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_compute(x)
@@ -53,7 +55,7 @@ class Linear(Module):
         return out
 
     def _transposed_weight(self) -> np.ndarray:
-        """Contiguous copy of ``W^T``, rebuilt every forward.
+        """Contiguous copy of ``W^T``.
 
         Row-stable matmul: BLAS GEMM against a transposed *view* picks
         kernels whose accumulation order depends on the row count, so the
@@ -62,12 +64,26 @@ class Linear(Module):
         on the same row-wise-stable kernel (forward pads one-row inputs to
         two rows to dodge the remaining GEMV outlier) — this is what lets
         the serving layer guarantee byte-identical events for batched and
-        per-event inference.  The copy is deliberately *not* cached:
-        callers (optimizers, finite-difference gradient checks) mutate
-        ``weight.data`` in place between forwards, and the O(in*out) copy
-        is small next to the GEMM it feeds.
+        per-event inference.  Unfrozen, the copy is rebuilt every forward,
+        because optimizers and finite-difference gradient checks write
+        ``weight.data`` in place between forwards.  :meth:`freeze` locks
+        the weight read-only and copies once; the copy is rebuilt only if
+        a loader has since replaced ``weight.data``.
         """
-        return np.ascontiguousarray(self.weight.data.T)
+        if not self.frozen:
+            return np.ascontiguousarray(self.weight.data.T)
+        if self._frozen_t is None or self._frozen_t[0] is not self.weight.data:
+            self.freeze()
+        return self._frozen_t[1]
+
+    def freeze(self) -> "Linear":
+        super().freeze()
+        self._frozen_t = (self.weight.data, np.ascontiguousarray(self.weight.data.T))
+        return self
+
+    def train(self) -> "Linear":
+        self._frozen_t = None
+        return super().train()
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._input is None:

@@ -6,6 +6,11 @@ from collections.abc import Iterator
 
 import numpy as np
 
+#: Non-parameter arrays a forward pass reads (batch-norm running
+#: statistics).  They are persisted with the weights and locked by
+#: :meth:`Module.freeze` like them.
+BUFFER_NAMES = ("running_mean", "running_var")
+
 
 def as_compute(array) -> np.ndarray:
     """Coerce a forward-pass input to the network's compute dtype.
@@ -46,7 +51,20 @@ class Module:
 
     Subclasses implement ``forward`` (caching what backward needs on
     ``self``) and ``backward`` (returning the gradient w.r.t. the input).
+
+    A module is in one of three modes: ``train()``, ``eval()`` and
+    ``freeze()``.  Frozen is eval with the weights locked read-only, so
+    subclasses may build inference-only derived arrays (folded
+    batch-norm, transposed weights) once instead of every forward; an
+    in-place write to a frozen weight raises instead of leaving those
+    stale.  ``train()`` unlocks and drops them.
     """
+
+    #: Set by :meth:`freeze`, cleared by :meth:`train`.
+    frozen = False
+    #: The arrays this module's :meth:`freeze` made read-only (and so
+    #: the only ones :meth:`train` makes writeable again).
+    _locked: tuple[np.ndarray, ...] = ()
 
     def __init__(self) -> None:
         self.training = True
@@ -115,6 +133,10 @@ class Module:
 
     def train(self) -> "Module":
         self.training = True
+        self.frozen = False
+        for array in self._locked:
+            array.flags.writeable = True
+        self._locked = ()
         for child in self._children():
             child.train()
         return self
@@ -124,6 +146,48 @@ class Module:
         for child in self._children():
             child.eval()
         return self
+
+    def freeze(self) -> "Module":
+        """Eval mode with every parameter and buffer locked read-only.
+
+        Arrays that are already read-only (the mmap views
+        :func:`~repro.nn.serialization.load_flat_mmap` attaches) are left
+        alone, so :meth:`train` never tries to unlock them.  Subclasses
+        extend this to build their inference caches after the lock.
+        Calling it again relocks and rebuilds, which is how a cache
+        follows a loader that reassigned ``param.data``.
+        """
+        self.training = False
+        self.frozen = True
+        self._lock()
+        for child in self._children():
+            child.freeze()
+        return self
+
+    def _own_arrays(self) -> Iterator[np.ndarray]:
+        for name, value in vars(self).items():
+            if isinstance(value, Parameter):
+                yield value.data
+            elif name in BUFFER_NAMES and isinstance(value, np.ndarray):
+                yield value
+            elif isinstance(value, (list, tuple)):
+                for item in value:
+                    if isinstance(item, Parameter):
+                        yield item.data
+
+    def _lock(self) -> None:
+        unlocked = [array for array in self._own_arrays() if array.flags.writeable]
+        for array in unlocked:
+            array.flags.writeable = False
+        self._locked = (*self._locked, *unlocked)
+
+    def __setstate__(self, state: dict) -> None:
+        # Copies (deepcopy, pickle) of locked arrays come back writeable;
+        # a frozen copy relocks its own so it keeps the frozen contract.
+        self.__dict__.update(state)
+        if self.frozen:
+            self._locked = ()
+            self._lock()
 
 
 class Sequential(Module):

@@ -8,6 +8,8 @@ shared MLP per group.  These operators work on batched coordinate arrays
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 
@@ -63,29 +65,42 @@ def gather_points(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
 def ball_query(
     points: np.ndarray,
     centers: np.ndarray,
-    radius: float,
-    max_neighbors: int,
-) -> np.ndarray:
+    radius: float | Sequence[float],
+    max_neighbors: int | Sequence[int],
+) -> np.ndarray | tuple[np.ndarray, ...]:
     """Indices of up to ``max_neighbors`` points within ``radius`` of each center.
 
     Groups with fewer neighbours repeat the first (closest) neighbour, so
     the output is a dense ``(batch, num_centers, max_neighbors)`` index
     array.  A center with no in-radius point falls back to its nearest
     neighbour, guaranteeing non-empty groups for sparse clouds.
+
+    ``radius`` and ``max_neighbors`` may instead be equal-length
+    sequences, one entry per grouping scale: the center-to-point
+    distance block is then computed once and a tuple of index arrays is
+    returned, each equal to the scalar call for its scale.
     """
     points = np.asarray(points, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
-    if radius <= 0:
+    multi = np.ndim(radius) > 0
+    radii = tuple(radius) if multi else (radius,)
+    counts = tuple(max_neighbors) if multi else (max_neighbors,)
+    if len(radii) != len(counts):
+        raise ValueError("need one max_neighbors per radius")
+    if min(radii) <= 0:
         raise ValueError("radius must be positive")
-    if max_neighbors <= 0:
+    if min(counts) <= 0:
         raise ValueError("max_neighbors must be positive")
-    batch, num_centers, _ = centers.shape
-    num_points = points.shape[1]
-    k = min(max_neighbors, num_points)
-    radius_sq = radius * radius
-
     diff = centers[:, :, None, :] - points[:, None, :, :]
     dist_sq = np.einsum("bcnd,bcnd->bcn", diff, diff)
+    groups = tuple(_ball_indices(dist_sq, r, m) for r, m in zip(radii, counts))
+    return groups if multi else groups[0]
+
+
+def _ball_indices(dist_sq: np.ndarray, radius: float, max_neighbors: int) -> np.ndarray:
+    """One scale's ball-query indices from the ``(batch, centers, points)`` block."""
+    batch, num_centers, num_points = dist_sq.shape
+    k = min(max_neighbors, num_points)
     if k < num_points:
         nearest = np.argpartition(dist_sq, kth=k - 1, axis=2)[:, :, :k]
     else:
@@ -96,7 +111,7 @@ def ball_query(
     order = np.argsort(sub, axis=2, kind="stable")
     nearest = np.take_along_axis(nearest, order, axis=2)
     sub = np.take_along_axis(sub, order, axis=2)
-    within = sub <= radius_sq
+    within = sub <= radius * radius
     within[:, :, 0] = True  # nearest-neighbour fallback for empty balls
     selected = np.where(within, nearest, nearest[:, :, :1])
     if k < max_neighbors:

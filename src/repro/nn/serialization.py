@@ -23,7 +23,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from repro.nn.module import Module
+from repro.nn.module import BUFFER_NAMES, Module
 
 #: Flat-arena manifest format marker / version.
 FLAT_FORMAT = "repro-flat"
@@ -268,14 +268,11 @@ def load_flat_mmap(
     return data
 
 
-_BUFFER_NAMES = ("running_mean", "running_var")
-
-
 def _named_buffers(module: Module, prefix: str = "") -> list[tuple[str, np.ndarray]]:
     buffers: list[tuple[str, np.ndarray]] = []
     for name, value in sorted(vars(module).items()):
         path = f"{prefix}{name}"
-        if name in _BUFFER_NAMES and isinstance(value, np.ndarray):
+        if name in BUFFER_NAMES and isinstance(value, np.ndarray):
             buffers.append((path, value))
         elif isinstance(value, Module):
             buffers.extend(_named_buffers(value, prefix=f"{path}."))

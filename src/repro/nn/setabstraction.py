@@ -123,13 +123,15 @@ class MultiScaleSetAbstraction(Module):
         coords = self._check_coords(coords)
         center_idx = farthest_point_sampling(coords, self.num_centers)
         centers = gather_points(coords, center_idx)
-        group_idx: list[np.ndarray] = []
-        local: list[np.ndarray] = []
-        for spec in self.scales:
-            idx = ball_query(coords, centers, spec.radius, spec.max_neighbors)
-            group_idx.append(idx)
-            local.append(group_points(coords, idx) - centers[:, :, None, :])
-        return Grouping(centers, tuple(group_idx), tuple(local), self.grouping_key)
+        # Every scale selects from one center-to-point distance block.
+        group_idx = ball_query(
+            coords,
+            centers,
+            [spec.radius for spec in self.scales],
+            [spec.max_neighbors for spec in self.scales],
+        )
+        local = tuple(group_points(coords, idx) - centers[:, :, None, :] for idx in group_idx)
+        return Grouping(centers, group_idx, local, self.grouping_key)
 
     def forward(
         self,

@@ -67,15 +67,6 @@ def _convert_module(module: Module, precision: str) -> None:
         _set_buffer(module, name, _convert_array(buf, precision), copy=False)
 
 
-def _models(system: GesturePrint):
-    if system.gesture_model is not None:
-        yield system.gesture_model
-    for model in system.user_models.values():
-        yield model
-    if system.parallel_user_model is not None:
-        yield system.parallel_user_model
-
-
 def apply_precision(system: GesturePrint, precision: str) -> GesturePrint:
     """A deep copy of ``system`` converted to ``precision`` for serving.
 
@@ -84,18 +75,19 @@ def apply_precision(system: GesturePrint, precision: str) -> GesturePrint:
     every weight; ``int8`` additionally round-trips each tensor through
     the arena's per-tensor affine quantisation, so the returned system
     predicts exactly what an int8 flat bundle would after attach.  The
-    original system is never touched — it remains the float64 reference
-    the fidelity gate compares against.
+    returned system is frozen for serving.  The original system is never
+    touched — it remains the float64 reference the fidelity gate
+    compares against.
     """
     flat_dtype_for(precision)  # validates the name
     if system.gesture_model is None:
         raise ValueError("the system must be fitted first")
     converted = copy.deepcopy(system)
     if precision != "float64":
-        for model in _models(converted):
+        for model in converted.models():
             _convert_module(model, precision)
     converted.serve_precision = precision
-    return converted
+    return converted.freeze()
 
 
 @dataclass(frozen=True)

@@ -495,6 +495,7 @@ class ModelRegistry:
         self.stats.fits += 1
         if system.gesture_model is None:
             raise ValueError("factory returned an unfitted system")
+        system.freeze()
         if directory is not None:
             save_system(system, directory)
             self.stats.saves += 1

@@ -120,6 +120,24 @@ class TestSharedMLP:
         mlp.blocks[1].gamma.data *= 2.0  # an optimizer step writes in place
         assert not np.allclose(mlp(x), before)
 
+    def test_frozen_fold_matches_eval_fold(self):
+        mlp = _eval_mlp()
+        x = np.random.default_rng(9).normal(size=(2, 3, 5))
+        reference = mlp(x).copy()
+        assert mlp.freeze()(x).tobytes() == reference.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            mlp.blocks[1].gamma.data *= 2.0
+
+    def test_frozen_fold_follows_reassigned_buffers(self):
+        mlp = _eval_mlp().freeze()
+        x = np.random.default_rng(9).normal(size=(2, 3, 5))
+        before = mlp(x).copy()
+        norm = mlp.blocks[1]
+        norm.running_var = norm.running_var * 4.0  # a loader reassigns
+        after = mlp(x).copy()
+        assert not np.allclose(after, before)
+        assert after.tobytes() == mlp.train().eval()(x).tobytes()
+
     def test_eval_parameter_gradients_match_numeric(self):
         mlp = _eval_mlp()
         rng = np.random.default_rng(7)

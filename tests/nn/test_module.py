@@ -1,9 +1,12 @@
 """Tests for the Module/Parameter base machinery."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.nn import Linear, ReLU, Sequential
+from repro.nn import BatchNorm, Linear, ReLU, Sequential
 from repro.nn.module import Module, Parameter
 
 
@@ -80,3 +83,67 @@ class TestNamedParameterStability:
         a = Sequential(Linear(2, 3, rng=np.random.default_rng(0)), ReLU())
         b = Sequential(Linear(2, 3, rng=np.random.default_rng(9)), ReLU())
         assert [n for n, _ in a.named_parameters()] == [n for n, _ in b.named_parameters()]
+
+
+def _arrays(model):
+    return [param.data for param in model.parameters()] + [
+        norm.running_mean for norm in model.modules if isinstance(norm, BatchNorm)
+    ]
+
+
+class TestFreeze:
+    def _model(self):
+        return Sequential(Linear(3, 4, rng=np.random.default_rng(0)), BatchNorm(4), ReLU())
+
+    def test_freeze_locks_weights_and_buffers(self):
+        model = self._model().freeze()
+        assert model.frozen and not model.training
+        assert not any(array.flags.writeable for array in _arrays(model))
+        with pytest.raises(ValueError, match="read-only"):
+            model[0].weight.data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            model[1].running_var *= 2.0
+        model[0].weight.grad[:] = 1.0  # gradients stay writable
+
+    def test_train_unlocks(self):
+        model = self._model().freeze().train()
+        assert not model.frozen and not model[0].frozen
+        assert all(array.flags.writeable for array in _arrays(model))
+        model[0].weight.data[0, 0] = 1.0
+
+    def test_train_leaves_already_read_only_arrays_locked(self):
+        model = self._model()
+        model[0].bias.data.flags.writeable = False  # e.g. an mmap view
+        model.freeze().train()
+        assert not model[0].bias.data.flags.writeable
+        assert model[0].weight.data.flags.writeable
+
+    def test_refreeze_then_train_unlocks_everything(self):
+        model = self._model().freeze().freeze().train()
+        assert all(array.flags.writeable for array in _arrays(model))
+
+    @pytest.mark.parametrize("clone", [copy.deepcopy, lambda m: pickle.loads(pickle.dumps(m))])
+    def test_frozen_copy_stays_locked(self, clone):
+        model = clone(self._model().freeze())
+        assert model[0].frozen
+        assert not any(array.flags.writeable for array in _arrays(model))
+        model.train()
+        assert all(array.flags.writeable for array in _arrays(model))
+
+
+class TestFrozenLinear:
+    def test_frozen_output_matches_unfrozen(self):
+        layer = Linear(5, 3, rng=np.random.default_rng(0))
+        layer.bias.data[:] = 0.25
+        x = np.random.default_rng(1).normal(size=(7, 5))
+        reference = layer.eval()(x)
+        assert layer.freeze()(x).tobytes() == reference.tobytes()
+
+    def test_reassigned_weight_is_not_served_stale(self):
+        layer = Linear(5, 3, rng=np.random.default_rng(0)).freeze()
+        x = np.random.default_rng(1).normal(size=(2, 5))
+        layer(x)
+        layer.weight.data = layer.weight.data * 2.0  # a loader reassigns
+        expected = x @ layer.weight.data.T + layer.bias.data
+        np.testing.assert_allclose(layer(x), expected, rtol=1e-12)
+        assert not layer.weight.data.flags.writeable  # relocked

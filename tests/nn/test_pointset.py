@@ -92,6 +92,49 @@ class TestBallQuery:
         np.testing.assert_array_equal(idx[0, 0], [1, 2, 0])
 
 
+class TestMultiScaleBallQuery:
+    """One shared distance block must pick exactly the per-scale indices."""
+
+    SCALES = ((0.3, 4), (0.8, 6), (2.0, 16))
+
+    def _assert_matches_per_scale(self, points, centers):
+        radii, counts = zip(*self.SCALES)
+        shared = ball_query(points, centers, radii, counts)
+        assert isinstance(shared, tuple) and len(shared) == len(self.SCALES)
+        for idx, (radius, count) in zip(shared, self.SCALES):
+            np.testing.assert_array_equal(idx, ball_query(points, centers, radius, count))
+
+    def test_duplicated_points_tie_exactly(self):
+        rng = np.random.default_rng(3)
+        base = rng.uniform(-1.0, 1.0, size=(2, 6, 3))
+        # Every point three times: many exact distance ties per center.
+        points = np.concatenate([base, base, base], axis=1)
+        centers = np.concatenate([base[:, :2], base[:, :2] + 0.1], axis=1)
+        self._assert_matches_per_scale(points, centers)
+
+    def test_fewer_points_than_neighbors(self):
+        rng = np.random.default_rng(4)
+        points = rng.uniform(-1.0, 1.0, size=(3, 5, 3))  # 5 < 6 and 16
+        self._assert_matches_per_scale(points, points[:, :3])
+
+    def test_setabstraction_grouping_matches_per_scale(self):
+        from repro.nn.setabstraction import MultiScaleSetAbstraction, ScaleSpec
+
+        rng = np.random.default_rng(5)
+        block = MultiScaleSetAbstraction(
+            4, 0, [ScaleSpec(r, m, (4,)) for r, m in self.SCALES], rng=rng
+        )
+        coords = np.repeat(rng.uniform(-1.0, 1.0, size=(2, 5, 3)), 2, axis=1)
+        grouping = block.group(coords)
+        for idx, (radius, count) in zip(grouping.group_idx, self.SCALES):
+            expected = ball_query(coords, grouping.centers, radius, count)
+            np.testing.assert_array_equal(idx, expected)
+
+    def test_mismatched_scales_raise(self):
+        with pytest.raises(ValueError):
+            ball_query(np.zeros((1, 2, 3)), np.zeros((1, 1, 3)), (0.5, 1.0), (2,))
+
+
 class TestGathering:
     def test_gather_points(self):
         points = np.arange(12.0).reshape(1, 4, 3)
