@@ -12,9 +12,10 @@ happy path:
   redispatched to the healthy worker), zero duplicated deliveries, the
   dead worker respawned back to full pool strength, and post-recovery
   results byte-identical to an in-process ``predict_one``.
-* **Arena-GC phase** — a registry-backed pool hot-swaps between two
-  checkpoints repeatedly; superseded weight bundles must be *actually
-  unlinked* (refcounts: airborne batches + worker attachments) and the
+* **Arena-GC phase** — a pool hot-swaps between two checkpoints
+  repeatedly, each reload a new system object as a checkpoint reload
+  yields; superseded weight bundles must be *actually unlinked* by the
+  pool (refcounts: airborne batches + worker attachments) and the
   live-arena count stay bounded instead of growing one per swap.
 
 **The p95-blip bound** (crash recovery must not smear the whole run's
@@ -26,6 +27,7 @@ end-to-end and records the measured numbers in
 ``benchmarks/results/bench_faults.json``.
 """
 
+import copy
 import json
 import os
 import signal
@@ -43,12 +45,7 @@ from benchmarks.common import (
     latency_summary,
 )
 from repro.analysis import lockwitness
-from repro.serving import (
-    BatchScheduler,
-    InferenceEngine,
-    ModelRegistry,
-    ProcessPoolBackend,
-)
+from repro.serving import BatchScheduler, InferenceEngine, ProcessPoolBackend
 from repro.serving.observability import MetricsRegistry, parse_text, render_text
 
 WORKERS = 2
@@ -221,42 +218,32 @@ def _phase_crash(system) -> dict:
 
 def _phase_arena_gc(system_a, system_b) -> dict:
     samples = _samples(8, seed=9)
-    registry = ModelRegistry()
-    exported: list[str] = []
-
-    def provider(system) -> str:
-        bundle = registry.arena_for("chaos-serve", system)
-        if bundle not in exported:
-            exported.append(bundle)
-        return bundle
-
-    backend = ProcessPoolBackend(
-        workers=WORKERS,
-        heartbeat_ms=HEARTBEAT_MS,
-        arena_provider=provider,
-        arena_refs=registry,
-    )
+    backend = ProcessPoolBackend(workers=WORKERS, heartbeat_ms=HEARTBEAT_MS)
     engine = InferenceEngine(system_a, backend=backend)
     try:
+        exported = [backend.prepare(system_a)]
         engine.predict_many(samples[:2])
         for swap in range(NUM_SWAPS):
-            engine.swap_system(system_b if swap % 2 == 0 else system_a)
+            # A hot reload hands the engine a new system object.
+            final = copy.deepcopy(system_b if swap % 2 == 0 else system_a)
+            engine.swap_system(final)
+            exported.append(backend.prepare(final))
             engine.predict_many(samples[2:4])
-        final = system_b if (NUM_SWAPS - 1) % 2 == 0 else system_a
         healed = engine.predict_many(samples[4:5])[0]
         local = InferenceEngine(final).predict_one(samples[4])
         fidelity = bool(
             np.array_equal(healed.gesture_probs, local.gesture_probs)
         )
+        # Counted while the pool is live: close() deletes every bundle.
+        health = backend.describe()
+        surviving = [bundle for bundle in exported if os.path.exists(bundle)]
     finally:
-        backend.close()  # drops worker attachment pins -> final GC
-    snapshot = registry.snapshot()
-    surviving = [bundle for bundle in exported if os.path.exists(bundle)]
+        backend.close()
     return {
         "swaps": NUM_SWAPS,
-        "arena_exports": snapshot["arena_exports"],
-        "retired_arenas": snapshot["retired_arenas"],
-        "live_arenas": snapshot["live_arenas"],
+        "arena_exports": health["arena_exports"],
+        "retired_arenas": health["retired_arenas"],
+        "live_arenas": health["live_arenas"],
         "bundles_on_disk": len(surviving),
         "byte_identical": fidelity,
     }
@@ -266,7 +253,7 @@ def _experiment() -> dict:
     system_a = cached_fitted_system(epochs=4)
     system_b = cached_fitted_system(epochs=2)
     # With REPRO_LOCK_WITNESS=1 the chaos run doubles as a lock-order
-    # audit: every lock the pool/registry/engine creates below is
+    # audit: every lock the pool/engine creates below is
     # witnessed, and any ordering cycle lands in the JSON and fails
     # _check — a potential deadlock caught without ever deadlocking.
     witness = lockwitness.install_if_enabled()

@@ -1,12 +1,13 @@
 """Dynamic lock-order witness: lockdep for the serving stack.
 
 Static rules (RC001–RC006) catch what a lock-held body *does*; they
-cannot see the *order* two threads take two locks in.  The classic
-serving deadlock — the pool supervisor holds ``pool._lock`` and calls
-``registry.decref_arena`` (which takes ``_arena_lock``) while an API
-thread holds ``_arena_lock`` and calls into the pool — only manifests
-under exactly the wrong interleaving, which chaos runs may never hit.
-The witness makes the *ordering* itself the observable: every
+cannot see the *order* two threads take two locks in.  The serving
+deadlock it was built for — the pool supervisor holding the pool lock
+while it took the model registry's arena lock, and an API thread
+taking them the other way round — is gone by design now that the pool
+alone refcounts its weight bundles, but any such inversion only
+manifests under exactly the wrong interleaving, which chaos runs may
+never hit.  The witness makes the *ordering* itself the observable: every
 instrumented acquisition records "held H, then took N" edges into a
 global directed graph, keyed by the locks' creation sites, and a cycle
 in that graph is a potential deadlock even if this run never blocked.

@@ -61,7 +61,7 @@ def final_attr(name: str) -> str:
 
 def is_lockish_expr(node: ast.AST) -> bool:
     """Does this ``with``-item expression look like a lock?  Matches
-    ``self._lock``, ``self._arena_lock``, ``lock``, ``threading.Lock()``."""
+    ``self._lock``, any ``self._*_lock``, ``lock``, ``threading.Lock()``."""
     if isinstance(node, ast.Call):
         called = final_attr(dotted_name(node.func))
         return called in {"Lock", "RLock"}

@@ -196,34 +196,23 @@ def _cmd_demo(args: argparse.Namespace) -> int:
 def _build_backend(args: argparse.Namespace):
     """The execution backend named by ``--backend``/``--workers``.
 
-    A process backend sources its weight arenas from the process-wide
-    registry, so workers attach the same mmap bundle the registry
-    exported for the checkpoint — at the ``--precision`` storage dtype —
-    and a hot reload (new system object under the same key) re-exports
-    automatically, while the backend's refcounts (airborne batches +
-    worker attachments) let the registry garbage-collect the superseded
-    bundle as soon as it drains.  The pool is supervised:
-    ``--heartbeat-ms`` paces the worker health checks, ``--max-respawns``
-    budgets crash recovery, and ``--pin-cores`` pins workers round-robin
-    across the process's allowed CPUs.
+    A process backend exports each system it serves as an mmap bundle at
+    the ``--precision`` storage dtype; a hot reload (a new system object)
+    gets a fresh bundle, and the pool deletes the superseded one once
+    its airborne batches land and its workers let go.  The pool is
+    supervised: ``--heartbeat-ms`` paces the worker health checks,
+    ``--max-respawns`` budgets crash recovery, and ``--pin-cores`` pins
+    workers round-robin across the process's allowed CPUs.
     """
-    import pathlib
-
     from repro.serving import create_backend
 
     if args.backend == "process":
-        key = str(pathlib.Path(args.model_dir).resolve())
-        precision = args.precision
         return create_backend(
             "process",
             workers=args.workers,
-            arena_provider=lambda system: REGISTRY.arena_for(
-                key, system, precision=precision
-            ),
-            arena_refs=REGISTRY,
             heartbeat_ms=args.heartbeat_ms,
             max_respawns=args.max_respawns,
-            precision=precision,
+            precision=args.precision,
             pin_cores=args.pin_cores,
         )
     return create_backend(args.backend, workers=args.workers)
@@ -253,7 +242,7 @@ def _apply_serve_precision(args: argparse.Namespace, system):
     posterior drift exceeds the per-precision bound.  In-process
     backends then serve the converted copy; a process backend keeps the
     float64 master — its workers attach the reduced-precision arena the
-    registry exports, which the gate's candidate round-trips exactly.
+    pool exports, which the gate's candidate round-trips exactly.
     """
     if args.precision == "float64":
         return system

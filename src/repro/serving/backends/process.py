@@ -43,12 +43,13 @@ pool owns its workers directly and *heals*:
   terminated, killed, and reaped, with any still-airborne futures
   failed rather than stranded.
 
-Arena lifetime: when an ``arena_refs`` provider is attached (the CLI
-wires :class:`~repro.serving.ModelRegistry`), the pool refcounts every
-bundle by *airborne batches* plus *worker attachments* (each worker
-keeps the last two bundles mapped), so the registry can garbage-collect
-a superseded bundle the moment the last batch lands and the last worker
-lets go of it.
+Arena lifetime: the pool is the only owner of its bundles.  It exports
+each system once, into its own temporary directory, and counts pins
+under ``_lock``: one per airborne batch naming the bundle and one per
+worker modelled as having it mapped (each worker keeps the last two
+bundles attached).  A bundle is deleted exactly when it is no longer
+the current system's and nothing pins it.  Until then it keeps its
+system -> bundle mapping, so a hedge or a redispatch re-uses it.
 """
 
 from __future__ import annotations
@@ -90,29 +91,28 @@ def _worker_initializer(extra_sys_path: list[str]) -> None:
             sys.path.insert(0, entry)
 
 
-def _worker_attach(conn, attached: dict, bundle_dir: str, prefetch: bool):
+def _worker_attach(conn, attached: dict, bundle_dir: str):
     """Attach a bundle (evicting past the cache), prefetching its pages.
 
-    With ``prefetch`` the arena's pages are touched *at attach time* —
-    one read per page, sequential, readahead-friendly — instead of being
-    first-faulted at random by the first forward pass, which is exactly
-    the critical path of the first post-respawn batch.  Pages touched
-    are reported to the parent as a ``("pf", npages)`` message.
+    The arena's pages are touched *at attach time* — one read per page,
+    sequential, readahead-friendly — instead of being first-faulted at
+    random by the first forward pass, which is exactly the critical path
+    of the first post-respawn batch.  Pages touched are reported to the
+    parent as a ``("pf", npages)`` message.
     """
     system = attached.get(bundle_dir)
     if system is None:
         from repro.core.persistence import load_system_flat, prefetch_arena
 
-        if prefetch:
+        try:
+            pages = prefetch_arena(bundle_dir)
+        except OSError:
+            pages = 0
+        if pages:
             try:
-                pages = prefetch_arena(bundle_dir)
-            except OSError:
-                pages = 0
-            if pages:
-                try:
-                    conn.send(("pf", pages))
-                except (EOFError, OSError):
-                    pass
+                conn.send(("pf", pages))
+            except (EOFError, OSError):
+                pass
         system = load_system_flat(bundle_dir)
         attached[bundle_dir] = system
         while len(attached) > _ATTACH_CACHE:
@@ -120,9 +120,7 @@ def _worker_attach(conn, attached: dict, bundle_dir: str, prefetch: bool):
     return system
 
 
-def _worker_main(
-    conn, extra_sys_path: list[str], heartbeat_s: float, prefetch: bool = True
-) -> None:
+def _worker_main(conn, extra_sys_path: list[str], heartbeat_s: float) -> None:
     """Worker loop: heartbeat while idle, attach bundles, run batches.
 
     Messages from the parent: ``("task", id, bundle_dir, batch)``,
@@ -152,7 +150,7 @@ def _worker_main(
             continue
         if kind == "warm":
             try:
-                _worker_attach(conn, attached, message[1], prefetch)
+                _worker_attach(conn, attached, message[1])
             # Warm-up is advisory; the task path re-attaches and a real
             # attach failure surfaces there as a task error.
             # repro-check: ignore[RC006]
@@ -166,7 +164,7 @@ def _worker_main(
             while True:  # simulated wedge: only the supervisor ends it
                 time.sleep(3600.0)
         try:
-            system = _worker_attach(conn, attached, bundle_dir, prefetch)
+            system = _worker_attach(conn, attached, bundle_dir)
             start = time.perf_counter()
             result = system.predict(batch)
             payload = ("result", task_id, result, time.perf_counter() - start)
@@ -195,11 +193,10 @@ def _repro_src_root() -> str:
 class _Task:
     """One airborne-or-queued batch between submit and its future."""
 
-    __slots__ = ("task_id", "system", "bundle", "batch", "future", "retries")
+    __slots__ = ("task_id", "bundle", "batch", "future", "retries")
 
-    def __init__(self, task_id: int, system, bundle: str, batch: np.ndarray) -> None:
+    def __init__(self, task_id: int, bundle: str, batch: np.ndarray) -> None:
         self.task_id = task_id
-        self.system = system  # strong ref: id(system) stays valid while airborne
         self.bundle = bundle
         self.batch = batch
         self.future: Future = Future()
@@ -257,6 +254,13 @@ class PoolStats:
         "repro_backend_prefetched_pages_total",
         "Arena pages touched at attach time, ahead of the first batch",
     )
+    arena_exports: int = counted(
+        "repro_backend_arena_exports_total", "Flat weight-arena bundles exported to disk"
+    )
+    retired_arenas: int = counted(
+        "repro_backend_retired_arenas_total",
+        "Superseded arena bundles deleted once nothing pinned them",
+    )
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -266,20 +270,7 @@ class ProcessPoolBackend(ExecutionBackend):
     ----------
     workers:
         Worker process count (the backend's ``slots``).
-    arena_provider:
-        ``system -> bundle directory`` hook.  The CLI wires this to
-        :meth:`~repro.serving.ModelRegistry.arena_for` so checkpoints
-        loaded through the registry share its cached exports; without
-        one, the backend exports into a private temporary directory on
-        first sight of each system (and pre-exports in :meth:`prepare`).
-    arena_refs:
-        Optional object with ``addref_arena(bundle)`` /
-        ``decref_arena(bundle)`` (duck-typed;
-        :class:`~repro.serving.ModelRegistry` implements it).  When set,
-        the pool pins each bundle for every airborne batch naming it and
-        for every worker modeled as having it attached, enabling the
-        registry's arena garbage collection.
-    heartbeat_ms / miss_limit / hang_timeout_s / spawn_grace_s:
+    heartbeat_ms / hang_timeout_s:
         Health-check knobs: idle workers heartbeat every
         ``heartbeat_ms``; a worker silent for ``miss_limit`` heartbeats
         while idle — or for ``hang_timeout_s`` beyond that while a batch
@@ -290,26 +281,11 @@ class ProcessPoolBackend(ExecutionBackend):
         Lifetime respawn budget for the pool.  Past it, dead workers are
         not replaced; once none survive, submissions fail with
         :class:`WorkerCrashError` instead of hanging.
-    max_redispatch:
-        How many times one batch may be moved off a dead worker before
-        its future fails (default 1: redispatched exactly once).
-    shutdown_timeout_s:
-        ``close()``'s cooperative-join deadline before it escalates to
-        terminate/kill — a wedged worker cannot leave a zombie behind.
-    start_method:
-        ``multiprocessing`` start method; spawn by default (see module
-        docstring for why fork is unsafe here).
     precision:
-        Arena precision for the pool's *own* exports (``float64`` /
-        ``float32`` / ``int8`` — see :mod:`repro.serving.precision`).
-        With an ``arena_provider`` the provider owns export precision
-        instead; callers gate converted systems through the fidelity
-        check before serving them.
-    prefetch:
-        Touch every arena page at attach time in the worker (one read
-        per page) so a respawned worker pays its page faults off the
-        batch critical path.  On by default; pages touched surface as
-        ``prefetched_pages`` in :meth:`describe`.
+        Arena precision of the pool's exports (``float64`` / ``float32``
+        / ``int8`` — see :mod:`repro.serving.precision`); callers gate
+        converted systems through the fidelity check before serving
+        them.
     pin_cores:
         Pin each worker to one CPU of the parent's affinity mask,
         round-robin by worker id, via ``os.sched_setaffinity`` — arena
@@ -319,29 +295,36 @@ class ProcessPoolBackend(ExecutionBackend):
     metrics:
         :class:`~repro.serving.observability.metrics.MetricsRegistry` to
         instrument against (default: the process-global one).  Crash /
-        respawn / redispatch / prefetch counters increment at the same
-        sites as the ``describe()`` numbers; per-worker liveness is
-        exported as gauges refreshed at scrape time.
+        respawn / redispatch / prefetch / arena counters increment at
+        the same sites as the ``describe()`` numbers; per-worker
+        liveness and the live-arena count are exported as gauges
+        refreshed at scrape time.
+
+    Workers are always spawned (see the module docstring for why fork
+    is unsafe here) and always prefetch a bundle's pages when they
+    attach it.
     """
 
     name = "process"
+    #: Heartbeats an idle worker may miss before it is declared hung.
+    miss_limit = 5
+    #: Times one batch may be moved off a dead worker before its future
+    #: fails (redispatched exactly once).
+    max_redispatch = 1
+    #: ``close()``'s cooperative-join deadline before it escalates to
+    #: terminate/kill — a wedged worker cannot leave a zombie behind.
+    shutdown_timeout_s = 5.0
+    #: Time a fresh spawn gets for its imports before the miss deadline.
+    spawn_grace_s = 120.0
 
     def __init__(
         self,
         workers: int = 4,
         *,
-        arena_provider=None,
-        arena_refs=None,
         heartbeat_ms: float = 100.0,
-        miss_limit: int = 5,
         hang_timeout_s: float = 30.0,
         max_respawns: int = 8,
-        max_redispatch: int = 1,
-        shutdown_timeout_s: float = 5.0,
-        spawn_grace_s: float = 120.0,
-        start_method: str = "spawn",
         precision: str = "float64",
-        prefetch: bool = True,
         pin_cores: bool = False,
         metrics: MetricsRegistry | None = None,
     ) -> None:
@@ -349,16 +332,13 @@ class ProcessPoolBackend(ExecutionBackend):
             raise ValueError("workers must be >= 1")
         if heartbeat_ms <= 0:
             raise ValueError("heartbeat_ms must be > 0")
-        if miss_limit < 1:
-            raise ValueError("miss_limit must be >= 1")
-        if max_respawns < 0 or max_redispatch < 0:
-            raise ValueError("max_respawns/max_redispatch must be >= 0")
+        if max_respawns < 0:
+            raise ValueError("max_respawns must be >= 0")
         from repro.nn.serialization import flat_dtype_for
 
         flat_dtype_for(precision)  # validates the name
         self.workers = workers
         self.precision = precision
-        self._prefetch = bool(prefetch)
         self._pin_cores = bool(pin_cores)
         self._cores: list[int] = []
         if self._pin_cores:
@@ -366,19 +346,10 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._cores = sorted(os.sched_getaffinity(0))
             except AttributeError:  # platform without CPU affinity
                 self._pin_cores = False
-        #: Most recent bundle handed to a worker; a respawned worker is
-        #: warmed against it (attach + prefetch) before its first batch.
-        self._last_bundle: str | None = None
-        self._arena_provider = arena_provider
-        self._arena_refs = arena_refs
         self._heartbeat_s = heartbeat_ms / 1e3
-        self._idle_deadline_s = self._heartbeat_s * miss_limit
         self._hang_timeout_s = float(hang_timeout_s)
         self._max_respawns = max_respawns
-        self._max_redispatch = max_redispatch
-        self._shutdown_timeout_s = shutdown_timeout_s
-        self._spawn_grace_s = max(spawn_grace_s, self._idle_deadline_s)
-        self._ctx = multiprocessing.get_context(start_method)
+        self._ctx = multiprocessing.get_context("spawn")
         # Spawned children re-import this module by name; spawn ships
         # the parent's sys.path in its preparation data, and the
         # initializer re-asserts it (plus the repro src root) in case a
@@ -402,6 +373,20 @@ class ProcessPoolBackend(ExecutionBackend):
         self._spawn_failures = 0
         #: Killed workers awaiting a non-blocking reap.
         self._reaping: list[_Worker] = []
+        #: Weight bundles, all guarded by ``_lock``.  ``_arenas`` maps
+        #: ``id(system)`` to ``(system, bundle)``; the strong reference
+        #: keeps the id from being recycled while the bundle is mapped.
+        #: ``_pins`` counts each live bundle's airborne batches plus
+        #: modelled worker attachments; ``_current`` is the bundle of the
+        #: system last made current (a respawned worker is warmed
+        #: against it); ``_doomed`` holds retired bundles awaiting
+        #: deletion off the lock.
+        self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-arena-")
+        self._export_ids = itertools.count(1)
+        self._arenas: dict[int, tuple[object, str]] = {}
+        self._pins: dict[str, int] = {}
+        self._current: str | None = None
+        self._doomed: list[str] = []
         self.stats = PoolStats()
         self._metrics = metrics if metrics is not None else get_metrics()
         label = {"backend": self.name}
@@ -415,6 +400,11 @@ class ProcessPoolBackend(ExecutionBackend):
         self._m_degraded = self._metrics.gauge(
             "repro_backend_degraded",
             "1 when the respawn budget is exhausted and the pool is shrinking",
+            ("backend",),
+        ).labels(**label)
+        self._m_live_arenas = self._metrics.gauge(
+            "repro_backend_live_arenas",
+            "Arena bundles on disk: the current one plus superseded ones still pinned",
             ("backend",),
         ).labels(**label)
         self._m_worker_up = self._metrics.gauge(
@@ -431,12 +421,6 @@ class ProcessPoolBackend(ExecutionBackend):
         self._wake_r, self._wake_w = self._ctx.Pipe(duplex=False)
         self._pool: list[_Worker] = [self._spawn_worker() for _ in range(workers)]
         self._metrics.register_collector(self._collect_metrics)  # reads _pool
-        #: Exported bundles by system identity; values hold a strong
-        #: system reference so an ``id`` is never recycled while mapped.
-        self._bundles: dict[int, tuple[object, str]] = {}
-        self._tmpdir: tempfile.TemporaryDirectory | None = None
-        self._own_bundles: list[str] = []
-        self._export_count = 0
         self._supervisor = threading.Thread(
             target=self._supervise, name="repro-pool-supervisor", daemon=True
         )
@@ -455,12 +439,14 @@ class ProcessPoolBackend(ExecutionBackend):
             alive = sum(1 for w in self._pool if w.alive)
             queued = len(self._queue)
             degraded = self._degraded
+            live_arenas = len(self._pins)
             rows = [
                 (str(w.ident), w.alive, w.task is not None) for w in self._pool
             ]
         self._m_alive.set(alive)
         self._m_queued.set(queued)
         self._m_degraded.set(1.0 if degraded else 0.0)
+        self._m_live_arenas.set(live_arenas)
         current = {ident for ident, _, _ in rows}
         for ident, is_alive, busy in rows:
             self._m_worker_up.labels(backend=self.name, worker=ident).set(
@@ -477,61 +463,96 @@ class ProcessPoolBackend(ExecutionBackend):
     # ------------------------------------------------------------------
     # Arena bundles (export + refcounts)
     # ------------------------------------------------------------------
-    def _own_export(self, system) -> str:
+    def prepare(self, system) -> str:
+        """Make ``system`` current and return its bundle directory.
+
+        The first sight of a system exports it; later calls re-use the
+        bundle while it is mapped.  The bundle that was current before
+        is deleted as soon as nothing pins it.
+        """
+        return self._with_bundle(system, self._make_current_locked)
+
+    def _with_bundle(self, system, use):
+        """``use(bundle)`` under ``_lock``, with ``system``'s bundle mapped.
+
+        The lookup and ``use`` share one critical section, so the bundle
+        cannot retire between them.  An unmapped system is exported off
+        the lock (disk IO) and becomes current once mapped; an export
+        that lost a race to another thread's is deleted unused.
+        """
+        fresh = None
+        try:
+            while True:
+                with self._lock:
+                    if self._closed:
+                        if fresh is not None:
+                            self._doomed.append(fresh)
+                        raise RuntimeError("process pool is closed")
+                    entry = self._arenas.get(id(system))
+                    if fresh is not None:
+                        if entry is None:
+                            entry = self._map_locked(system, fresh)
+                        else:  # another thread mapped it while this one exported
+                            self._doomed.append(fresh)
+                    if entry is not None:
+                        return use(entry[1])
+                fresh = self._export(system)
+        finally:
+            self._delete_doomed()
+
+    def _export(self, system) -> str:
         from repro.core.persistence import export_flat
 
-        if self._tmpdir is None:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-arena-")
-        self._export_count += 1
-        bundle = os.path.join(self._tmpdir.name, f"v{self._export_count}")
+        bundle = os.path.join(self._tmpdir.name, f"v{next(self._export_ids)}")
         export_flat(system, bundle, precision=self.precision)
-        # Keep this bundle plus its predecessor (batches dispatched just
-        # before a swap may still attach to it); delete anything older
-        # so repeated hot swaps don't accumulate weight copies on disk.
-        self._own_bundles.append(bundle)
-        if len(self._own_bundles) > 2:
-            live = {path for _, path in self._bundles.values()}
-            keep = set(self._own_bundles[-2:]) | live
-            for old in self._own_bundles[:-2]:
-                if old not in keep:
-                    shutil.rmtree(old, ignore_errors=True)
-            self._own_bundles = [
-                path for path in self._own_bundles if path in keep
-            ]
         return bundle
 
-    def prepare(self, system) -> str:
-        """The system's bundle directory, exporting it if unseen.
+    def _map_locked(self, system, bundle: str) -> tuple[object, str]:
+        """Map a fresh export of ``system``; it becomes the current one."""
+        entry = self._arenas[id(system)] = (system, bundle)
+        self._pins[bundle] = 0
+        self.stats.arena_exports += 1
+        self._make_current_locked(bundle)
+        return entry
 
-        With an ``arena_provider`` the provider is consulted every time
-        (it caches by key + system identity itself, so this is one dict
-        probe): a local shortcut could hand out a path the provider's
-        garbage collector already retired — e.g. after swapping back to
-        a previous system object — and the local cache would only pin
-        superseded systems alive for nothing.
-        """
-        if self._arena_provider is not None:
-            return os.fspath(self._arena_provider(system))
-        entry = self._bundles.get(id(system))
-        if entry is not None and entry[0] is system:
-            return entry[1]
-        bundle = self._own_export(system)
-        self._bundles[id(system)] = (system, bundle)
-        # Current system + the one it superseded: batches dispatched just
-        # before a swap may still name the old bundle, anything older
-        # cannot be airborne anymore (and pinning old systems here would
-        # keep their full weight copies resident).
-        while len(self._bundles) > 2:
-            self._bundles.pop(next(iter(self._bundles)))
+    def _make_current_locked(self, bundle: str) -> str:
+        previous, self._current = self._current, bundle
+        if previous is not None and previous != bundle:
+            self._retire_if_unpinned_locked(previous)
         return bundle
 
     def _retain(self, bundle: str) -> None:
-        if self._arena_refs is not None:
-            self._arena_refs.addref_arena(bundle)
+        """Pin a bundle: one airborne batch or one worker attachment."""
+        self._pins[bundle] += 1
 
     def _release(self, bundle: str) -> None:
-        if self._arena_refs is not None:
-            self._arena_refs.decref_arena(bundle)
+        self._pins[bundle] -= 1
+        self._retire_if_unpinned_locked(bundle)
+
+    def _retire_if_unpinned_locked(self, bundle: str) -> None:
+        """Unmap ``bundle`` once it is neither current nor pinned.
+
+        Only the bookkeeping happens here, under ``_lock``; the
+        directory goes to ``_doomed`` and :meth:`_delete_doomed` removes
+        it after the lock is released (RC002).
+        """
+        if bundle == self._current or self._pins[bundle]:
+            return
+        del self._pins[bundle]
+        self._arenas = {
+            key: entry for key, entry in self._arenas.items() if entry[1] != bundle
+        }
+        self.stats.retired_arenas += 1
+        self._doomed.append(bundle)
+
+    def _delete_doomed(self) -> None:
+        """Delete retired bundles: blocking disk IO, so never under ``_lock``."""
+        if not self._doomed:  # unlocked peek; a miss waits for the next call
+            return
+        with self._lock:
+            doomed, self._doomed = self._doomed, []
+        for bundle in doomed:
+            shutil.rmtree(bundle, ignore_errors=True)
 
     # ------------------------------------------------------------------
     # Worker lifecycle
@@ -541,7 +562,7 @@ class ProcessPoolBackend(ExecutionBackend):
         ident = next(self._worker_ids)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self._extra_path, self._heartbeat_s, self._prefetch),
+            args=(child_conn, self._extra_path, self._heartbeat_s),
             name=f"repro-exec-{ident}",
             daemon=True,
         )
@@ -611,29 +632,30 @@ class ProcessPoolBackend(ExecutionBackend):
         return self._submit(system, batch, urgent=True)
 
     def _submit(self, system, batch: np.ndarray, *, urgent: bool) -> Future:
-        bundle = self.prepare(system)
-        with self._lock:
-            if self._closed:
-                raise RuntimeError("process pool is closed")
-            if self._supervisor_failed:
-                raise WorkerCrashError(
-                    "worker pool supervisor crashed; restart the pool to resume"
-                )
-            if self._degraded and not any(w.alive for w in self._pool):
-                raise WorkerCrashError(
-                    "worker pool degraded: respawn budget exhausted and no "
-                    "workers survive; restart the pool to resume"
-                )
-            task = _Task(
-                next(self._task_ids), system, bundle, np.ascontiguousarray(batch)
-            )
-            self._retain(bundle)  # airborne pin, released when the batch lands
-            if urgent:
-                self._queue.insert(0, task)
-            else:
-                self._queue.append(task)
+        batch = np.ascontiguousarray(batch)
+        task = self._with_bundle(
+            system, lambda bundle: self._enqueue_locked(bundle, batch, urgent)
+        )
         self._wake()
         return task.future
+
+    def _enqueue_locked(self, bundle: str, batch: np.ndarray, urgent: bool) -> _Task:
+        if self._supervisor_failed:
+            raise WorkerCrashError(
+                "worker pool supervisor crashed; restart the pool to resume"
+            )
+        if self._degraded and not any(w.alive for w in self._pool):
+            raise WorkerCrashError(
+                "worker pool degraded: respawn budget exhausted and no "
+                "workers survive; restart the pool to resume"
+            )
+        task = _Task(next(self._task_ids), bundle, batch)
+        self._retain(bundle)  # airborne pin, released when the batch lands
+        if urgent:
+            self._queue.insert(0, task)
+        else:
+            self._queue.append(task)
+        return task
 
     # ------------------------------------------------------------------
     # Supervision
@@ -659,6 +681,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._fail_queued_locked(actions, crash)
             for action in actions:
                 action()
+            self._delete_doomed()
 
     def _supervise_loop(self) -> None:
         tick = max(self._heartbeat_s / 2.0, 0.01)
@@ -693,6 +716,7 @@ class ProcessPoolBackend(ExecutionBackend):
                 self._dispatch_locked()
             for action in actions:  # resolve futures outside the lock
                 action()
+            self._delete_doomed()
             for _ in range(spawn_count):
                 self._spawn_replacement()
 
@@ -748,13 +772,13 @@ class ProcessPoolBackend(ExecutionBackend):
                 pass  # closed while spawning: reap it below, not pooled
             else:
                 self._pool.append(worker)
-                # Warm the replacement against the bundle traffic is on:
+                # Warm the replacement against the current bundle:
                 # attach + page prefetch happen now, while the worker is
-                # idle, not under the first redispatched batch.
-                if self._last_bundle is not None:
-                    self._model_attach(worker, self._last_bundle)
+                # idle, not under its first batch.
+                if self._current is not None:
+                    self._model_attach(worker, self._current)
                     try:
-                        worker.conn.send(("warm", self._last_bundle))
+                        worker.conn.send(("warm", self._current))
                     except Exception:
                         worker.eof = True  # health check reaps it
                 return
@@ -779,7 +803,6 @@ class ProcessPoolBackend(ExecutionBackend):
                 worker.eof = True  # broken pipe: health check reaps it
                 continue
             self._queue.pop(0)
-            self._last_bundle = task.bundle
             worker.task = task
             worker.task_started = time.monotonic()
             # Who ran it, for trace records: a redispatch overwrites the
@@ -830,6 +853,8 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def _check_health_locked(self, actions: list) -> None:
         now = time.monotonic()
+        idle_deadline = self._heartbeat_s * self.miss_limit
+        spawn_grace = max(self.spawn_grace_s, idle_deadline)
         for worker in list(self._pool):
             dead_reason = None
             if worker.process.exitcode is not None or worker.eof:
@@ -839,14 +864,12 @@ class ProcessPoolBackend(ExecutionBackend):
                     # A fresh spawn imports numpy + repro before it can
                     # heartbeat: until its first message, only the (much
                     # longer) spawn grace applies, not the miss deadline.
-                    deadline = (
-                        self._idle_deadline_s if worker.ready else self._spawn_grace_s
-                    )
+                    deadline = idle_deadline if worker.ready else spawn_grace
                     reference = worker.last_seen
                 else:
-                    deadline = self._idle_deadline_s + self._hang_timeout_s
+                    deadline = idle_deadline + self._hang_timeout_s
                     if not worker.ready:
-                        deadline = max(deadline, self._spawn_grace_s)
+                        deadline = max(deadline, spawn_grace)
                     reference = max(worker.last_seen, worker.task_started)
                 if now - reference > deadline:
                     dead_reason = (
@@ -891,7 +914,7 @@ class ProcessPoolBackend(ExecutionBackend):
             or any(w.alive for w in self._pool)
         )
         if lost is not None:
-            if lost.retries < self._max_redispatch and healthy:
+            if lost.retries < self.max_redispatch and healthy:
                 lost.retries += 1
                 self.stats.redispatches += 1
                 lost.future.retried = True
@@ -969,11 +992,11 @@ class ProcessPoolBackend(ExecutionBackend):
                     except Exception:
                         worker.eof = True
         self._wake()
-        self._supervisor.join(timeout=self._shutdown_timeout_s + 5.0)
+        self._supervisor.join(timeout=self.shutdown_timeout_s + 5.0)
         # Cooperative join under a deadline, then escalate: close() must
         # reap every child even if it races an airborne (or wedged)
         # batch — a zombie worker outliving the pool is a bug.
-        deadline = time.monotonic() + self._shutdown_timeout_s
+        deadline = time.monotonic() + self.shutdown_timeout_s
         for worker in pool:
             worker.process.join(timeout=max(deadline - time.monotonic(), 0.0))
         for worker in pool:
@@ -1008,6 +1031,11 @@ class ProcessPoolBackend(ExecutionBackend):
                 actions, WorkerCrashError("process pool closed before the batch ran")
             )
             self._pool.clear()
+            # The temporary directory goes below, with every bundle in it.
+            self._arenas.clear()
+            self._pins.clear()
+            self._current = None
+            self._doomed.clear()
         for action in actions:
             action()
         try:
@@ -1015,10 +1043,7 @@ class ProcessPoolBackend(ExecutionBackend):
             self._wake_w.close()
         except Exception:
             pass
-        if self._tmpdir is not None:
-            self._tmpdir.cleanup()
-            self._tmpdir = None
-        self._bundles.clear()
+        self._tmpdir.cleanup()
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:
@@ -1049,12 +1074,13 @@ class ProcessPoolBackend(ExecutionBackend):
                 "max_respawns": self._max_respawns,
                 "heartbeat_ms": self._heartbeat_s * 1e3,
                 "precision": self.precision,
-                "prefetch": self._prefetch,
                 "prefetched_pages": self.stats.prefetched_pages,
                 "pin_cores": self._pin_cores,
                 "degraded": self._degraded,
                 "supervisor_failed": self._supervisor_failed,
                 "reaping": len(self._reaping),
                 "queued": len(self._queue),
-                "bundles": len(self._bundles),
+                "arena_exports": self.stats.arena_exports,
+                "retired_arenas": self.stats.retired_arenas,
+                "live_arenas": len(self._pins),
             }

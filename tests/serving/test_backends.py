@@ -19,7 +19,6 @@ from repro.core.persistence import export_flat, load_system_flat
 from repro.serving import (
     InferenceEngine,
     InlineBackend,
-    ModelRegistry,
     ProcessPoolBackend,
     ThreadPoolBackend,
     create_backend,
@@ -228,8 +227,8 @@ class TestUrgentSubmission:
             workers=1,
             heartbeat_ms=50.0,
             hang_timeout_s=30.0,  # the wedge must outlive the test
-            shutdown_timeout_s=0.5,
         )
+        backend.shutdown_timeout_s = 0.5
         try:
             backend.submit(fitted, x[:1]).result(timeout=60)  # spawn+attach
             backend.inject_fault("hang_in_task")
@@ -283,7 +282,7 @@ class TestLifecycle:
         assert not scheduler.stats.queue_window
 
 
-class TestFactoryAndRegistryArenas:
+class TestFactoryAndPoolArenas:
     def test_create_backend_spellings(self):
         assert create_backend("inline").name == "inline"
         with create_backend("thread", workers=3) as backend:
@@ -293,32 +292,42 @@ class TestFactoryAndRegistryArenas:
         with pytest.raises(ValueError, match="workers"):
             create_backend("thread", workers=0)
 
-    def test_registry_hands_out_cached_arenas(self, fitted, fitted_b):
+    def test_pool_hands_out_cached_arenas(self, fitted, fitted_b, toy_data):
+        import copy
         import os
 
-        registry = ModelRegistry(capacity=2)
-        registry.put("model-a", fitted)
-        first = registry.arena_for("model-a", fitted)
-        assert registry.arena_for("model-a", fitted) == first  # cached
-        assert registry.stats.arena_exports == 1
-        # Same key, new system (a hot reload): fresh export; the old
-        # bundle survives one swap (airborne batches may still attach).
-        registry.put("model-a", fitted_b)
-        second = registry.arena_for("model-a", fitted_b)
-        assert second != first
-        assert registry.stats.arena_exports == 2
-        assert os.path.isdir(first)
-        # A further reload retires-and-deletes the oldest bundle: hot
-        # reloading forever must not accumulate weight copies on disk.
-        registry.put("model-a", fitted)
-        third = registry.arena_for("model-a", fitted)
-        assert third not in (first, second)
-        assert os.path.isdir(second) and not os.path.exists(first)
-
-    def test_registry_arena_attaches_byte_identical(self, fitted, toy_data):
         x, _, _ = toy_data
-        registry = ModelRegistry()
-        bundle = registry.arena_for("m", fitted)
+        with ProcessPoolBackend(workers=1, heartbeat_ms=50.0) as backend:
+            first = backend.prepare(fitted)
+            assert backend.prepare(fitted) == first  # cached
+            assert backend.stats.arena_exports == 1
+            backend.submit(fitted, x[:1]).result(timeout=60)  # worker attaches it
+            # A new system (a hot reload): fresh export; the old bundle
+            # survives while the worker still has it attached.
+            second = backend.prepare(fitted_b)
+            assert second != first
+            assert backend.stats.arena_exports == 2
+            assert os.path.isdir(first)
+            backend.submit(fitted_b, x[:1]).result(timeout=60)
+            # A further reload pushes the oldest bundle out of the
+            # worker's two-bundle cache, and it is deleted: hot reloading
+            # forever must not accumulate weight copies on disk.
+            reloaded = copy.deepcopy(fitted)
+            third = backend.prepare(reloaded)
+            backend.submit(reloaded, x[:1]).result(timeout=60)
+            assert third not in (first, second)
+            deadline = time.monotonic() + 10.0  # deleted off the pool lock
+            while os.path.exists(first) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not os.path.exists(first)
+            assert os.path.isdir(second)
+            assert backend.stats.retired_arenas == 1
+
+    def test_pool_arena_attaches_byte_identical(
+        self, fitted, toy_data, process_backend
+    ):
+        x, _, _ = toy_data
+        bundle = process_backend.prepare(fitted)
         clone = load_system_flat(bundle)
         a, b = fitted.predict(x[:4]), clone.predict(x[:4])
         assert np.array_equal(a.gesture_probs, b.gesture_probs)

@@ -15,6 +15,7 @@ refcounted by airborne batches + worker attachments and deleted the
 moment the count drops to zero — and not a moment earlier.
 """
 
+import copy
 import os
 import signal
 import time
@@ -26,7 +27,6 @@ from repro.analysis import lockwitness
 from repro.serving import (
     BatchScheduler,
     InferenceEngine,
-    ModelRegistry,
     ProcessPoolBackend,
     WorkerCrashError,
 )
@@ -38,8 +38,7 @@ def lock_order_witness():
 
     With ``REPRO_LOCK_WITNESS=1`` (the CI chaos setting) every
     ``threading.Lock``/``RLock`` created while these tests run — the
-    pool's ``_lock``, the registry's ``_arena_lock``, future conditions —
-    is witnessed, and any acquired-while-held ordering cycle observed
+    pool's ``_lock``, the engine's and futures' conditions — is witnessed, and any acquired-while-held ordering cycle observed
     across the module fails it, even if no run actually deadlocked.
     """
     handle = lockwitness.install_if_enabled()
@@ -122,8 +121,9 @@ class TestCrashRespawn:
         is declared dead at the miss deadline, killed, and replaced."""
         x, _, _ = toy_data
         with ProcessPoolBackend(
-            workers=1, heartbeat_ms=25.0, miss_limit=4, max_respawns=2
+            workers=1, heartbeat_ms=25.0, max_respawns=2
         ) as backend:
+            backend.miss_limit = 4
             engine = InferenceEngine(fitted, backend=backend)
             engine.predict_many(x[:1])  # worker warm + heartbeating
             pid = backend.describe()["worker_health"][0]["pid"]
@@ -193,10 +193,8 @@ class TestShutdownReaping:
         import multiprocessing
 
         x, _, _ = toy_data
-        backend = ProcessPoolBackend(
-            workers=1, heartbeat_ms=50.0, hang_timeout_s=120.0,
-            shutdown_timeout_s=0.5,
-        )
+        backend = ProcessPoolBackend(workers=1, heartbeat_ms=50.0, hang_timeout_s=120.0)
+        backend.shutdown_timeout_s = 0.5
         engine = InferenceEngine(fitted, backend=backend)
         engine.predict_many(x[:1])  # warm
         backend.inject_fault("hang_in_task")
@@ -223,66 +221,113 @@ class TestArenaRefcountGC:
         self, fitted, fitted_b
     ):
         """A superseded bundle pinned by airborne batches / attached
-        workers survives every decref but the last; the last one deletes
-        the file and bumps retired_arenas."""
-        registry = ModelRegistry()
-        first = registry.arena_for("m", fitted)
-        registry.addref_arena(first)  # airborne batch
-        registry.addref_arena(first)  # worker attachment
-        second = registry.arena_for("m", fitted_b)  # hot reload supersedes
-        assert second != first
-        assert os.path.isdir(first)  # still pinned: not collected
-        registry.decref_arena(first)  # batch lands
-        assert os.path.isdir(first)  # worker still attached
-        assert registry.stats.retired_arenas == 0
-        registry.decref_arena(first)  # worker lets go: count hits zero
-        assert not os.path.exists(first)
-        assert registry.stats.retired_arenas == 1
-        snap = registry.snapshot()
-        assert snap["retired_arenas"] == 1 and snap["live_arenas"] == 1
+        workers survives every release but the last; the last one
+        deletes the file and bumps retired_arenas."""
+        with ProcessPoolBackend(workers=1, heartbeat_ms=50.0) as backend:
+            first = backend.prepare(fitted)
+            with backend._lock:
+                backend._retain(first)  # airborne batch
+                backend._retain(first)  # worker attachment
+            second = backend.prepare(fitted_b)  # hot reload supersedes
+            assert second != first
+            assert os.path.isdir(first)  # still pinned: not collected
+            with backend._lock:
+                backend._release(first)  # batch lands
+            backend._delete_doomed()
+            assert os.path.isdir(first)  # worker still attached
+            assert backend.stats.retired_arenas == 0
+            with backend._lock:
+                backend._release(first)  # worker lets go: count hits zero
+            backend._delete_doomed()
+            assert not os.path.exists(first)
+            health = backend.describe()
+            assert health["retired_arenas"] == 1 and health["live_arenas"] == 1
 
-    def test_pinned_then_released_bundle_retires_immediately(
-        self, fitted, fitted_b
+    def test_unpinned_bundle_retires_when_superseded(self, fitted, fitted_b):
+        """With the count at zero — whether it was pinned and released
+        or never pinned at all — the turnover deletes the superseded
+        bundle on the spot: the refs are exact, so no grace period."""
+        with ProcessPoolBackend(workers=1, heartbeat_ms=50.0) as backend:
+            first = backend.prepare(fitted)
+            with backend._lock:
+                backend._retain(first)
+                backend._release(first)  # pinned, now unpinned
+            second = backend.prepare(fitted_b)
+            assert not os.path.exists(first)
+            backend.prepare(fitted)  # never pinned: no grace either
+            assert not os.path.exists(second)
+            assert backend.stats.retired_arenas == 2
+            assert backend.stats.arena_exports == 3
+
+    def test_swap_back_to_pinned_system_reuses_its_bundle(
+        self, fitted, fitted_b, toy_data
     ):
-        """With refcounting engaged and the count already at zero, the
-        turnover deletes the superseded bundle on the spot (no one-swap
-        grace needed — the refs are exact)."""
-        registry = ModelRegistry()
-        first = registry.arena_for("m", fitted)
-        registry.addref_arena(first)
-        registry.decref_arena(first)  # engaged, now unpinned
-        registry.arena_for("m", fitted_b)
-        assert not os.path.exists(first)
-        assert registry.stats.retired_arenas == 1
+        """A superseded bundle that a worker still has attached keeps
+        its system -> bundle mapping: swapping back re-uses it instead
+        of exporting the same weights again."""
+        x, _, _ = toy_data
+        with ProcessPoolBackend(workers=1, heartbeat_ms=50.0) as backend:
+            engine = InferenceEngine(fitted, backend=backend)
+            first = backend.prepare(fitted)
+            engine.predict_many(x[:1])  # the worker attaches `first`
+            engine.swap_system(fitted_b)
+            assert os.path.isdir(first)
+            engine.swap_system(fitted)
+            assert backend.prepare(fitted) == first
+            assert backend.stats.arena_exports == 2
+            assert backend.stats.retired_arenas == 1  # fitted_b's: never pinned
 
     def test_worker_pool_keeps_hot_reload_arena_count_bounded(
         self, fitted, fitted_b, toy_data
     ):
-        """End to end: a registry-backed process pool hot-swapping
-        repeatedly retires superseded bundles (files actually unlinked)
-        and holds the live-arena count bounded."""
+        """End to end: a process pool hot-swapping repeatedly (a new
+        system object per reload, as a checkpoint reload yields)
+        retires superseded bundles (files actually unlinked) and holds
+        the live-arena count bounded."""
         x, _, _ = toy_data
-        registry = ModelRegistry()
-        with ProcessPoolBackend(
-            workers=1,
-            heartbeat_ms=50.0,
-            arena_provider=lambda system: registry.arena_for("serve", system),
-            arena_refs=registry,
-        ) as backend:
+        with ProcessPoolBackend(workers=1, heartbeat_ms=50.0) as backend:
             engine = InferenceEngine(fitted, backend=backend)
             engine.predict_many(x[:1])
             for swap in range(5):
-                engine.swap_system(fitted_b if swap % 2 == 0 else fitted)
+                reloaded = copy.deepcopy(fitted_b if swap % 2 == 0 else fitted)
+                engine.swap_system(reloaded)
                 engine.predict_many(x[:1])
-            snap = registry.snapshot()
-            assert snap["arena_exports"] == 6
-            assert snap["retired_arenas"] >= 3  # GC actually ran
-            assert snap["live_arenas"] <= 3  # bounded, not one per swap
+            health = backend.describe()
+            assert health["arena_exports"] == 6
+            assert health["retired_arenas"] >= 3  # GC actually ran
+            assert health["live_arenas"] <= 3  # bounded, not one per swap
             # Fidelity after the churn: still byte-identical to the
             # system live after the final swap (swap 4 -> fitted_b).
             result = engine.predict_many(x[:1])[0]
             expected = InferenceEngine(fitted_b).predict_one(x[0])
             assert np.array_equal(result.user_probs, expected.user_probs)
+
+    def test_redispatch_after_three_swaps_attaches_its_own_bundle(
+        self, fitted, toy_data
+    ):
+        """The only worker wedges on a batch; three hot reloads follow
+        while it hangs.  The hang deadline moves the batch to a
+        respawned worker, which must still find the bundle the batch
+        was submitted against: its airborne pin keeps it on disk."""
+        x, _, _ = toy_data
+        with ProcessPoolBackend(
+            workers=1, heartbeat_ms=50.0, hang_timeout_s=0.5, max_respawns=2
+        ) as backend:
+            backend.shutdown_timeout_s = 0.5
+            backend.submit(fitted, x[:2]).result(timeout=60)  # spawn + attach
+            assert backend.inject_fault("hang_in_task") is not None
+            future = backend.submit(fitted, x[:2])
+            _wait_until(
+                lambda: backend.describe()["worker_health"][0]["busy"],
+                what="batch airborne on the wedged worker",
+            )
+            for _ in range(3):
+                backend.prepare(copy.deepcopy(fitted))
+            result, _ = future.result(timeout=60)
+            expected = fitted.predict(x[:2])
+            assert np.array_equal(result.gesture_probs, expected.gesture_probs)
+            assert np.array_equal(result.user_probs, expected.user_probs)
+            assert backend.describe()["redispatches"] == 1
 
 
 class TestHealthSurfacing:

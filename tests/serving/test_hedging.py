@@ -268,8 +268,8 @@ class TestProcessPoolHang:
             workers=2,
             heartbeat_ms=50.0,
             hang_timeout_s=30.0,  # hang detection must not win this race
-            shutdown_timeout_s=0.5,
         )
+        backend.shutdown_timeout_s = 0.5
         engine = InferenceEngine(fitted, backend=backend, hedge_ms=200.0)
         try:
             deliveries: list = []
