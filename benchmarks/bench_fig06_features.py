@@ -30,8 +30,7 @@ def _collect_features(model, inputs):
     model.eval()
     feature_store = {"level1": [], "level2": [], "fused1": []}
     for start in range(0, inputs.shape[0], 64):
-        model(inputs[start : start + 64])
-        feats = model.extracted_features()
+        feats = model.features(inputs[start : start + 64])
         for key in feature_store:
             feature_store[key].append(feats[key])
     return {k: np.vstack(v) for k, v in feature_store.items()}

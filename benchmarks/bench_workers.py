@@ -8,7 +8,7 @@ This bench drives the same localhost-TCP gateway workload
 their requests) over each execution backend:
 
 * **inline** — the single-process baseline: exec blocks the event loop;
-* **thread** — a thread pool over per-thread replicas: socket IO
+* **thread** — a thread pool sharing the one system: socket IO
   overlaps exec, BLAS releases the GIL;
 * **process** — ``--backend process --workers 4``: worker processes
   attached to one read-only mmap'd weight arena, true multi-core exec.
@@ -92,7 +92,7 @@ def _make_backend(name: str):
 
 
 def _warm_backend(backend, system, samples: np.ndarray) -> None:
-    """Spawn workers / build replicas / export arenas off the clock."""
+    """Spawn workers / start threads / export arenas off the clock."""
     batch = np.asarray(samples[:4], dtype=np.float64)
     futures = [backend.submit(system, batch) for _ in range(backend.slots)]
     done, not_done = wait_futures(futures, timeout=180.0)

@@ -40,8 +40,7 @@ def collect_features(model, inputs):
     model.eval()
     store = {"level1": [], "level2": [], "fused1": []}
     for start in range(0, inputs.shape[0], 64):
-        model(inputs[start : start + 64])
-        feats = model.extracted_features()
+        feats = model.features(inputs[start : start + 64])
         for key in store:
             store[key].append(feats[key])
     return {k: np.vstack(v) for k, v in store.items()}

@@ -142,13 +142,23 @@ class AttentionFusion(Module):
         """Fuse ``resized`` (the other level's feature) with ``native``."""
         resized = as_compute(resized)
         native = as_compute(native)
+        weights = self.weights_of(resized, native)
+        if not self.adaptive:
+            fused = 0.5 * resized + 0.5 * native
+        else:
+            fused = weights[:, 0:1] * resized + weights[:, 1:2] * native
+        if not self.frozen:
+            self._cache = {"resized": resized, "native": native, "weights": weights}
+        return fused
+
+    def weights_of(self, resized: np.ndarray, native: np.ndarray) -> np.ndarray:
+        """The adaptive weights ``(S(F^{l->k}), S(F^k))``, shape ``(batch, 2)``."""
+        resized = as_compute(resized)
+        native = as_compute(native)
         if resized.shape != native.shape:
             raise ValueError("fusion inputs must share a shape")
         if not self.adaptive:
-            weights = np.full((resized.shape[0], 2), 0.5)
-            fused = 0.5 * resized + 0.5 * native
-            self._cache = {"resized": resized, "native": native, "weights": weights}
-            return fused
+            return np.full((resized.shape[0], 2), 0.5)
         # einsum keeps each row's reduction order fixed regardless of batch
         # size (BLAS GEMV picks different kernels for different row counts),
         # so scores — and therefore fused features — are bitwise identical
@@ -158,18 +168,7 @@ class AttentionFusion(Module):
         logits = np.stack([score_r, score_n], axis=1)
         shifted = logits - logits.max(axis=1, keepdims=True)
         exp = np.exp(shifted)
-        weights = exp / exp.sum(axis=1, keepdims=True)  # (batch, 2)
-        fused = weights[:, 0:1] * resized + weights[:, 1:2] * native
-        self._cache = {"resized": resized, "native": native, "weights": weights}
-        return fused
-
-    def weights_of(self, resized: np.ndarray, native: np.ndarray) -> np.ndarray:
-        """The adaptive weights ``(S(F^{l->k}), S(F^k))`` without caching."""
-        saved = self._cache
-        self.forward(resized, native)
-        weights = self._cache["weights"]
-        self._cache = saved
-        return weights
+        return exp / exp.sum(axis=1, keepdims=True)
 
     def backward(self, grad_output: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         if self._cache is None:
@@ -258,10 +257,14 @@ class GesIDNet(Module):
         first = self.sa1.group(self._points(points)[:, :, :3])
         return first, self.sa2.group(first.centers)
 
-    def forward(
+    def features(
         self, points: np.ndarray, geometry: Geometry | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Logits of ``points``; ``geometry`` is :meth:`geometry` of them if known."""
+    ) -> dict[str, np.ndarray]:
+        """Level and fusion features of ``points`` (Fig. 6's t-SNE inputs).
+
+        ``{"level1", "level2", "fused1", "fused2"}``; ``geometry`` is
+        :meth:`geometry` of the points if known.
+        """
         points = self._points(points)
         grouping1, grouping2 = (None, None) if geometry is None else geometry
         coords = points[:, :, :3]
@@ -270,19 +273,19 @@ class GesIDNet(Module):
         coords2, f2 = self.sa2(coords1, f1, grouping=grouping2)
         level1 = self.global1(coords1, f1)
         level2 = self.global2(coords2, f2)
-        resized_2to1 = self.resize_2to1(level2)
-        resized_1to2 = self.resize_1to2(level1)
-        fused1 = self.fusion1(resized_2to1, level1)
-        fused2 = self.fusion2(resized_1to2, level2)
-        primary = self.head1(fused1)
-        auxiliary = self.head2(fused2)
-        self._features = {
+        return {
             "level1": level1,
             "level2": level2,
-            "fused1": fused1,
-            "fused2": fused2,
+            "fused1": self.fusion1(self.resize_2to1(level2), level1),
+            "fused2": self.fusion2(self.resize_1to2(level1), level2),
         }
-        return primary, auxiliary
+
+    def forward(
+        self, points: np.ndarray, geometry: Geometry | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Logits of ``points``; ``geometry`` is :meth:`geometry` of them if known."""
+        features = self.features(points, geometry)
+        return self.head1(features["fused1"]), self.head2(features["fused2"])
 
     def _points(self, points: np.ndarray) -> np.ndarray:
         points = as_compute(points)
@@ -307,10 +310,3 @@ class GesIDNet(Module):
         grad_f1_from_sa2 = self.sa2.backward(grad_f2)
         grad_f1 = self.global1.backward(grad_level1) + grad_f1_from_sa2
         self.sa1.backward(grad_f1)
-
-    # ------------------------------------------------------------------
-    def extracted_features(self) -> dict[str, np.ndarray]:
-        """Features of the most recent forward pass (for Fig. 6 t-SNE)."""
-        if not hasattr(self, "_features"):
-            raise RuntimeError("run a forward pass first")
-        return dict(self._features)

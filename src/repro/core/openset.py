@@ -69,8 +69,7 @@ class OpenSetVerifier:
         model.eval()
         chunks = []
         for start in range(0, inputs.shape[0], batch_size):
-            model(inputs[start : start + batch_size])
-            chunks.append(model.extracted_features()["fused1"])
+            chunks.append(model.features(inputs[start : start + batch_size])["fused1"])
         return np.vstack(chunks)
 
     # ------------------------------------------------------------------

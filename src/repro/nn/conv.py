@@ -47,14 +47,15 @@ class Conv1x1(Module):
 
         ``forward`` passes the conv's own parameters; :class:`SharedMLP`
         passes batch-norm-folded ones.  Either way backward sees the same
-        ``_input``.
+        ``_input`` (not kept while frozen: a frozen forward writes nothing).
         """
         x = as_compute(x)
         if x.ndim != 3 or x.shape[1] != self.in_channels:
             raise ValueError(
                 f"Conv1x1 expected (batch, {self.in_channels}, points), got {x.shape}"
             )
-        self._input = x
+        if not self.frozen:
+            self._input = x
         out = np.matmul(weight, x)  # (o,c) @ (b,c,n) -> (b,o,n)
         if bias is not None:
             out += bias[None, :, None]
@@ -153,8 +154,9 @@ class SharedMLP(Module):
         return super().train()
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        self._folded = not self.training
-        if self._folded:
+        if not self.frozen:
+            self._folded = not self.training
+        if not self.training:
             for (conv, _, relu), (weight, bias) in zip(self._triples(), self._folded_blocks()):
                 x = relu.forward_owned(conv.forward_affine(x, weight, bias))
         else:

@@ -44,7 +44,8 @@ class Linear(Module):
             raise ValueError(
                 f"Linear expected (batch, {self.in_features}), got {x.shape}"
             )
-        self._input = x
+        if not self.frozen:
+            self._input = x
         weight_t = self._transposed_weight()
         if x.shape[0] == 1:
             out = (np.concatenate([x, x], axis=0) @ weight_t)[:1]
@@ -104,8 +105,7 @@ class ReLU(Module):
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_compute(x)
-        self._mask = x > 0
-        return x * self._mask
+        return x * self._keep_mask(x)
 
     def forward_owned(self, x: np.ndarray) -> np.ndarray:
         """``forward`` written into ``x``, which the caller owns.
@@ -113,9 +113,14 @@ class ReLU(Module):
         Same op and mask as :meth:`forward` (so the same bits, signed
         zeros included); only for arrays nobody else holds.
         """
-        self._mask = x > 0
-        np.multiply(x, self._mask, out=x)
+        np.multiply(x, self._keep_mask(x), out=x)
         return x
+
+    def _keep_mask(self, x: np.ndarray) -> np.ndarray:
+        mask = x > 0  # a local: concurrent forwards never read each other's
+        if not self.frozen:
+            self._mask = mask
+        return mask
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -156,7 +161,8 @@ class Dropout(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         x = as_compute(x)
         if not self.training or self.rate == 0.0:
-            self._mask = None
+            if not self.frozen:
+                self._mask = None
             return x
         keep = 1.0 - self.rate
         self._mask = (self._rng.random(x.shape) < keep) / keep

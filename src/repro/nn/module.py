@@ -57,7 +57,9 @@ class Module:
     subclasses may build inference-only derived arrays (folded
     batch-norm, transposed weights) once instead of every forward; an
     in-place write to a frozen weight raises instead of leaving those
-    stale.  ``train()`` unlocks and drops them.
+    stale.  ``train()`` unlocks and drops them.  A frozen forward
+    caches nothing for backward: it writes nothing on ``self``, so one
+    frozen module graph serves any number of threads at once.
     """
 
     #: Set by :meth:`freeze`, cleared by :meth:`train`.

@@ -108,11 +108,12 @@ def _ball_indices(dist_sq: np.ndarray, radius: float, max_neighbors: int) -> np.
             np.arange(num_points), (batch, num_centers, num_points)
         ).copy()
     sub = np.take_along_axis(dist_sq, nearest, axis=2)
+    inside = np.count_nonzero(sub <= radius * radius, axis=2)
     order = np.argsort(sub, axis=2, kind="stable")
     nearest = np.take_along_axis(nearest, order, axis=2)
-    sub = np.take_along_axis(sub, order, axis=2)
-    within = sub <= radius * radius
-    within[:, :, 0] = True  # nearest-neighbour fallback for empty balls
+    # Sorted by distance, the in-radius neighbours are a prefix.  Column 0
+    # is the nearest point either way: the fallback for an empty ball.
+    within = np.arange(k) < inside[..., None]
     selected = np.where(within, nearest, nearest[:, :, :1])
     if k < max_neighbors:
         # Fewer points than neighbours requested: repeat the closest.

@@ -189,7 +189,8 @@ class MultiScaleSetAbstraction(Module):
             )
             scale_outputs.append(per_group.max(axis=2))
             cache["scale"].append({"group_idx": group_idx, "per_group": per_group})
-        self._cache = cache
+        if not self.frozen:
+            self._cache = cache
         return grouping.centers, np.concatenate(scale_outputs, axis=1)
 
     def _check_coords(self, coords: np.ndarray) -> np.ndarray:
@@ -273,10 +274,11 @@ class GlobalFeatureExtractor(Module):
         local = np.transpose(coords - centroid, (0, 2, 1))
         stacked = np.concatenate([local, features], axis=1)
         transformed = self.mlp(stacked)
+        if self.frozen:  # no backward to serve: pool without the argmax
+            return transformed.max(axis=2)
         argmax = transformed.argmax(axis=2)
-        pooled = np.take_along_axis(transformed, argmax[..., None], axis=2)[..., 0]
         self._cache = {"argmax": argmax, "num_points": coords.shape[1]}
-        return pooled
+        return np.take_along_axis(transformed, argmax[..., None], axis=2)[..., 0]
 
     def backward(self, grad_output: np.ndarray) -> np.ndarray:
         """Return gradient w.r.t. the input features (coords are data)."""

@@ -16,9 +16,9 @@ Four pieces, layered under the runtimes in :mod:`repro.core`:
   (submit-to-landing on the engine's backend, executor queueing
   included).
 * :mod:`repro.serving.backends` — pluggable execution: inline (default),
-  thread pool over per-thread replicas, or a process pool whose workers
-  attach read-only mmap'd weight arenas (``--backend``/``--workers`` on
-  the CLI).
+  a thread pool whose threads share the one system, or a process pool
+  whose workers attach read-only mmap'd weight arenas
+  (``--backend``/``--workers`` on the CLI).
 * :class:`ModelRegistry` — keyed, LRU-cached load/save of fitted systems
   over :mod:`repro.core.persistence`; ``load(..., on_change=...)`` turns
   an overwritten checkpoint into an engine hot-swap.

@@ -5,9 +5,10 @@ where the forward pass actually runs is this package's concern:
 
 * :class:`InlineBackend` — synchronous, in the caller's thread (the
   default; exactly the pre-backend behaviour).
-* :class:`ThreadPoolBackend` — a thread pool over per-thread system
-  replicas; overlaps exec with the caller (the gateway's event loop
-  keeps reading sockets while NumPy runs, and BLAS releases the GIL).
+* :class:`ThreadPoolBackend` — a thread pool whose threads all predict
+  on the one system they were handed (a frozen forward writes nothing);
+  overlaps exec with the caller (the gateway's event loop keeps reading
+  sockets while NumPy runs, and BLAS releases the GIL).
 * :class:`ProcessPoolBackend` — worker processes that attach the model
   as a **read-only mmap'd weight arena** (see
   :func:`repro.core.persistence.export_flat`) instead of unpickling a

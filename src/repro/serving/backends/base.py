@@ -27,13 +27,14 @@ retried, so plain backends need no change.
 from __future__ import annotations
 
 import abc
+import time
 from concurrent.futures import Future
 from typing import TYPE_CHECKING, Any, Callable
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import GesturePrint
+    from repro.core.pipeline import GesturePrint, PipelineResult
 
 #: CLI / factory spellings, in documentation order.
 BACKEND_NAMES = ("inline", "thread", "process")
@@ -87,6 +88,13 @@ class ExecutionBackend(abc.ABC):
 
     def __exit__(self, *_exc_info) -> None:
         self.close()
+
+
+def timed_predict(system: "GesturePrint", batch: np.ndarray) -> "tuple[PipelineResult, float]":
+    """``system.predict(batch)`` and its execution seconds: a submission's outcome."""
+    start = time.perf_counter()
+    result = system.predict(batch)
+    return result, time.perf_counter() - start
 
 
 def run_to_future(fn: Callable[..., Any], *args: Any) -> Future:

@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import time
 from concurrent.futures import Future
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.serving.backends.base import ExecutionBackend, run_to_future
+from repro.serving.backends.base import ExecutionBackend, run_to_future, timed_predict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.pipeline import GesturePrint
@@ -29,9 +28,4 @@ class InlineBackend(ExecutionBackend):
     slots = 1
 
     def submit(self, system: "GesturePrint", batch: np.ndarray) -> Future:
-        def run():
-            start = time.perf_counter()
-            result = system.predict(batch)
-            return result, time.perf_counter() - start
-
-        return run_to_future(run)
+        return run_to_future(timed_predict, system, batch)

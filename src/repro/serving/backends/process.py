@@ -69,7 +69,7 @@ from multiprocessing.connection import wait as connection_wait
 
 import numpy as np
 
-from repro.serving.backends.base import ExecutionBackend
+from repro.serving.backends.base import ExecutionBackend, timed_predict
 from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
 
 #: Bundles a worker keeps attached (current system + one swap-ago); the
@@ -165,9 +165,7 @@ def _worker_main(conn, extra_sys_path: list[str], heartbeat_s: float) -> None:
                 time.sleep(3600.0)
         try:
             system = _worker_attach(conn, attached, bundle_dir)
-            start = time.perf_counter()
-            result = system.predict(batch)
-            payload = ("result", task_id, result, time.perf_counter() - start)
+            payload = ("result", task_id, *timed_predict(system, batch))
         except Exception as error:
             payload = ("error", task_id, error)
         try:

@@ -1,30 +1,29 @@
-"""Thread-pool execution over per-thread system replicas."""
+"""Thread-pool execution over the one shared system."""
 
 from __future__ import annotations
 
-import copy
-import threading
-import time
 from concurrent.futures import Future, ThreadPoolExecutor
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.serving.backends.base import ExecutionBackend
+from repro.serving.backends.base import ExecutionBackend, timed_predict
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.pipeline import GesturePrint, PipelineResult
+    from repro.core.pipeline import GesturePrint
 
 
 class ThreadPoolBackend(ExecutionBackend):
-    """Run batches on a thread pool, one system replica per thread.
+    """Run batches on a thread pool, every thread on the system it was handed.
 
-    The nn modules cache forward activations on ``self`` (for backward),
-    so two concurrent forwards through *one* module graph would race on
-    that scratch state.  Each worker thread therefore predicts through
-    its own ``deepcopy`` of the system — same weights bit-for-bit, so
-    results stay byte-identical to the source system — keyed by system
-    identity so a hot swap naturally re-replicates on first use.
+    A frozen forward writes nothing on its modules (see
+    ``docs/concurrency-invariants.md``), so every worker thread predicts
+    through the caller's system object: one copy of the weights, and a
+    hot swap costs nothing here.  An unfrozen eval forward still stores
+    backward caches, but no forward reads them back, so concurrent
+    predicts stay byte-identical too.  :meth:`prepare` switches a model
+    left in training mode to eval on the calling thread, before any
+    worker sees it.
 
     What this buys: the submitting thread (the gateway's event loop)
     keeps running — reading sockets, admitting, shedding — while NumPy
@@ -35,9 +34,6 @@ class ThreadPoolBackend(ExecutionBackend):
 
     name = "thread"
 
-    #: Replicas kept per worker thread (current system + one swap-ago).
-    _REPLICA_CACHE = 2
-
     def __init__(self, workers: int = 2) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
@@ -46,37 +42,17 @@ class ThreadPoolBackend(ExecutionBackend):
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-exec"
         )
-        self._local = threading.local()
 
-    # ------------------------------------------------------------------
-    def _replica(self, system: "GesturePrint") -> "GesturePrint":
-        cache: dict[int, tuple[object, object]] = getattr(
-            self._local, "replicas", None
-        ) or {}
-        self._local.replicas = cache
-        entry = cache.get(id(system))
-        if entry is not None and entry[0] is system:
-            return entry[1]
-        replica = copy.deepcopy(system)
-        cache[id(system)] = (system, replica)
-        while len(cache) > self._REPLICA_CACHE:
-            cache.pop(next(iter(cache)))
-        return replica
+    def prepare(self, system: "GesturePrint") -> None:
+        for model in system.models():
+            if model.training:
+                model.eval()
 
-    def _run(
-        self, system: "GesturePrint", batch: np.ndarray
-    ) -> "tuple[PipelineResult, float]":
-        replica = self._replica(system)
-        start = time.perf_counter()
-        result = replica.predict(batch)
-        return result, time.perf_counter() - start
-
-    # ------------------------------------------------------------------
     def submit(self, system: "GesturePrint", batch: np.ndarray) -> Future:
-        return self._pool.submit(self._run, system, batch)
+        return self._pool.submit(timed_predict, system, batch)
 
     def close(self) -> None:
         self._pool.shutdown(wait=True)
 
     def describe(self) -> dict:
-        return {"name": self.name, "slots": self.slots, "workers": self.workers}
+        return {**super().describe(), "workers": self.workers}

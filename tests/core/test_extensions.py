@@ -121,6 +121,19 @@ class TestOpenSet:
         assert known.mean() > 0.5
         assert (users[known] == u[known]).mean() > 0.6
 
+    def test_frozen_copy_calibrates_and_identifies_identically(self, fitted, tmp_path):
+        system, (x, g, u) = fitted
+        save_system(system, tmp_path)
+        frozen = load_system(tmp_path)
+        assert all(model.frozen for model in frozen.models())
+        verifiers = [OpenSetVerifier(s) for s in (system, frozen)]
+        calibrations = [v.calibrate(x, g, u, target_far=0.1) for v in verifiers]
+        assert calibrations[0] == calibrations[1]
+        probe = np.concatenate([x[:10], np.random.default_rng(9).normal(size=(10, 12, 8)) * 5.0])
+        (g0, u0), (g1, u1) = (v.identify(probe) for v in verifiers)
+        np.testing.assert_array_equal(g0, g1)
+        np.testing.assert_array_equal(u0, u1)
+
     def test_outsider_rejection(self, fitted):
         system, (x, g, u) = fitted
         verifier = OpenSetVerifier(system)

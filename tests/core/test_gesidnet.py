@@ -28,9 +28,16 @@ class TestAttentionFusion:
     def test_weights_sum_to_one(self):
         fusion = AttentionFusion(6, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
-        weights = fusion.weights_of(rng.normal(size=(4, 6)), rng.normal(size=(4, 6)))
+        a, b = rng.normal(size=(4, 6)), rng.normal(size=(4, 6))
+        weights = fusion.weights_of(a, b)
         np.testing.assert_allclose(weights.sum(axis=1), 1.0)
         assert (weights >= 0).all()
+        fused = fusion(a, b)
+        cache = fusion._cache
+        fusion.weights_of(2 * a, b)
+        assert fusion._cache is cache  # weights_of stores nothing
+        assert cache["weights"].tobytes() == weights.tobytes()
+        assert fused.tobytes() == (weights[:, :1] * a + weights[:, 1:] * b).tobytes()
 
     def test_fusion_is_convex_combination(self):
         fusion = AttentionFusion(3, rng=np.random.default_rng(0))
@@ -83,15 +90,16 @@ class TestGesIDNet:
         with pytest.raises(ValueError):
             GesIDNet(1, _tiny_config())
 
-    def test_extracted_features_available_after_forward(self):
-        model = GesIDNet(3, _tiny_config(), rng=np.random.default_rng(0))
-        with pytest.raises(RuntimeError):
-            model.extracted_features()
-        model(np.random.default_rng(1).normal(size=(2, 16, 8)))
-        features = model.extracted_features()
+    def test_features_are_what_the_heads_read(self):
+        model = GesIDNet(3, _tiny_config(), rng=np.random.default_rng(0)).eval()
+        x = np.random.default_rng(1).normal(size=(2, 16, 8))
+        features = model.features(x)  # no forward needed first
         assert set(features) == {"level1", "level2", "fused1", "fused2"}
         assert features["fused1"].shape == (2, 10)
         assert features["fused2"].shape == (2, 14)
+        primary, auxiliary = model(x)
+        assert primary.tobytes() == model.head1(features["fused1"]).tobytes()
+        assert auxiliary.tobytes() == model.head2(features["fused2"]).tobytes()
 
     def test_full_gradient_check(self):
         model = GesIDNet(3, _tiny_config(), rng=np.random.default_rng(0))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import ball_query, farthest_point_sampling, gather_points, group_points
+from repro.nn.pointset import _ball_indices
 
 
 class TestFarthestPointSampling:
@@ -133,6 +134,56 @@ class TestMultiScaleBallQuery:
     def test_mismatched_scales_raise(self):
         with pytest.raises(ValueError):
             ball_query(np.zeros((1, 2, 3)), np.zeros((1, 1, 3)), (0.5, 1.0), (2,))
+
+
+def _reference_ball_indices(dist_sq, radius, max_neighbors):
+    """The sort-then-threshold formulation: ``within`` from the sorted distances."""
+    batch, num_centers, num_points = dist_sq.shape
+    k = min(max_neighbors, num_points)
+    if k < num_points:
+        nearest = np.argpartition(dist_sq, kth=k - 1, axis=2)[:, :, :k]
+    else:
+        nearest = np.broadcast_to(np.arange(num_points), dist_sq.shape).copy()
+    sub = np.take_along_axis(dist_sq, nearest, axis=2)
+    order = np.argsort(sub, axis=2, kind="stable")
+    nearest = np.take_along_axis(nearest, order, axis=2)
+    sub = np.take_along_axis(sub, order, axis=2)
+    within = sub <= radius * radius
+    within[:, :, 0] = True
+    selected = np.where(within, nearest, nearest[:, :, :1])
+    if k < max_neighbors:
+        pad = np.broadcast_to(selected[:, :, :1], (batch, num_centers, max_neighbors - k))
+        selected = np.concatenate([selected, pad], axis=2)
+    return selected
+
+
+class TestBallIndicesReference:
+    """The prefix ``within`` picks exactly what thresholding sorted distances did."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "radius,max_neighbors", [(0.05, 4), (0.4, 4), (0.8, 8), (1.5, 12), (9.0, 30)]
+    )
+    def test_random_blocks(self, seed, radius, max_neighbors):
+        rng = np.random.default_rng(seed)
+        points = rng.uniform(-1.0, 1.0, size=(3, 20, 3))
+        # Repeated points tie exactly; radius 0.05 leaves most balls empty;
+        # 30 neighbours exceed the 20 points (k < max_neighbors).
+        points[:, 10:] = points[:, :10]
+        centers = np.concatenate([points[:, :4], rng.uniform(-2.0, 2.0, size=(3, 4, 3))], axis=1)
+        diff = centers[:, :, None, :] - points[:, None, :, :]
+        dist_sq = np.einsum("bcnd,bcnd->bcn", diff, diff)
+        np.testing.assert_array_equal(
+            _ball_indices(dist_sq, radius, max_neighbors),
+            _reference_ball_indices(dist_sq, radius, max_neighbors),
+        )
+
+    def test_exact_ties_on_the_radius(self):
+        dist_sq = np.array([[[0.25, 0.25, 1.0, 0.25, 0.0, 4.0]]])
+        for count in (2, 3, 6, 9):
+            np.testing.assert_array_equal(
+                _ball_indices(dist_sq, 0.5, count), _reference_ball_indices(dist_sq, 0.5, count)
+            )
 
 
 class TestGathering:

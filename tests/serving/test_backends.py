@@ -74,6 +74,14 @@ class TestByteIdentity:
         assert process_backend.prepare(fitted_b) != first
 
 
+def test_describe_carries_name_slots_and_precision(thread_backend, process_backend):
+    for backend in (InlineBackend(), thread_backend, process_backend):
+        described = backend.describe()
+        assert described["name"] == backend.name
+        assert described["slots"] == backend.slots
+        assert described["precision"] == backend.precision
+
+
 class TestPoolErrorRouting:
     def test_poison_batch_fails_only_its_tickets(self, fitted, toy_data, thread_backend):
         x, _, _ = toy_data
