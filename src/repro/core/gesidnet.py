@@ -265,14 +265,7 @@ class GesIDNet(Module):
         ``{"level1", "level2", "fused1", "fused2"}``; ``geometry`` is
         :meth:`geometry` of the points if known.
         """
-        points = self._points(points)
-        grouping1, grouping2 = (None, None) if geometry is None else geometry
-        coords = points[:, :, :3]
-        features = np.transpose(points[:, :, : self.config.in_feature_channels], (0, 2, 1))
-        coords1, f1 = self.sa1(coords, features, grouping=grouping1)
-        coords2, f2 = self.sa2(coords1, f1, grouping=grouping2)
-        level1 = self.global1(coords1, f1)
-        level2 = self.global2(coords2, f2)
+        level1, level2 = self._levels(points, geometry)
         return {
             "level1": level1,
             "level2": level2,
@@ -281,11 +274,36 @@ class GesIDNet(Module):
         }
 
     def forward(
-        self, points: np.ndarray, geometry: Geometry | None = None
+        self,
+        points: np.ndarray,
+        geometry: Geometry | None = None,
+        *,
+        auxiliary: bool = True,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Logits ``(P1, P2)`` of ``points``; ``geometry`` is :meth:`geometry` of them if known.
+
+        ``auxiliary=False`` is the inference path: only the training loss
+        reads ``P2``, so the auxiliary branch (``resize_1to2``,
+        ``fusion2``, ``head2``) is skipped and ``(P1, None)`` returned,
+        with the same ``P1`` bytes.
+        """
+        level1, level2 = self._levels(points, geometry)
+        primary = self.head1(self.fusion1(self.resize_2to1(level2), level1))
+        if not auxiliary:
+            return primary, None
+        return primary, self.head2(self.fusion2(self.resize_1to2(level1), level2))
+
+    def _levels(
+        self, points: np.ndarray, geometry: Geometry | None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Logits of ``points``; ``geometry`` is :meth:`geometry` of them if known."""
-        features = self.features(points, geometry)
-        return self.head1(features["fused1"]), self.head2(features["fused2"])
+        """The level features ``(F^1, F^2)`` of both set-abstraction levels."""
+        points = self._points(points)
+        grouping1, grouping2 = (None, None) if geometry is None else geometry
+        coords = points[:, :, :3]
+        features = np.transpose(points[:, :, : self.config.in_feature_channels], (0, 2, 1))
+        coords1, f1 = self.sa1(coords, features, grouping=grouping1)
+        coords2, f2 = self.sa2(coords1, f1, grouping=grouping2)
+        return self.global1(coords1, f1), self.global2(coords2, f2)
 
     def _points(self, points: np.ndarray) -> np.ndarray:
         points = as_compute(points)

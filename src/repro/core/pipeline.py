@@ -30,7 +30,7 @@ def _posteriors(model: GesIDNet, inputs: np.ndarray, geometry: Geometry) -> np.n
     """Primary-head probabilities of one chunk on a precomputed geometry."""
     if model.training:  # eval() walks the whole module tree, so only when needed
         model.eval()
-    primary, _ = model(inputs, geometry)
+    primary, _ = model(inputs, geometry, auxiliary=False)
     return softmax_probabilities(primary)
 
 

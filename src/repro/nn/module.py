@@ -10,6 +10,9 @@ import numpy as np
 #: statistics).  They are persisted with the weights and locked by
 #: :meth:`Module.freeze` like them.
 BUFFER_NAMES = ("running_mean", "running_var")
+#: What a training forward leaves for backward (last batch's inputs,
+#: masks and intermediates).  :meth:`Module.freeze` drops them.
+BACKWARD_CACHES = ("_input", "_mask", "_cache")
 
 
 def as_compute(array) -> np.ndarray:
@@ -157,10 +160,15 @@ class Module:
         alone, so :meth:`train` never tries to unlock them.  Subclasses
         extend this to build their inference caches after the lock.
         Calling it again relocks and rebuilds, which is how a cache
-        follows a loader that reassigned ``param.data``.
+        follows a loader that reassigned ``param.data``.  The last
+        training batch's backward caches are dropped: no predict reads
+        them, and every copy of the frozen system would carry them.
         """
         self.training = False
         self.frozen = True
+        for name in BACKWARD_CACHES:
+            if name in vars(self):
+                setattr(self, name, None)
         self._lock()
         for child in self._children():
             child.freeze()

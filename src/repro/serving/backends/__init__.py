@@ -27,6 +27,7 @@ from repro.serving.backends.base import (
     BACKEND_NAMES,
     ExecutionBackend,
     create_backend,
+    retain_heap,
 )
 from repro.serving.backends.inline import InlineBackend
 from repro.serving.backends.process import ProcessPoolBackend, WorkerCrashError
@@ -40,4 +41,5 @@ __all__ = [
     "ProcessPoolBackend",
     "WorkerCrashError",
     "create_backend",
+    "retain_heap",
 ]

@@ -69,7 +69,7 @@ from multiprocessing.connection import wait as connection_wait
 
 import numpy as np
 
-from repro.serving.backends.base import ExecutionBackend, timed_predict
+from repro.serving.backends.base import ExecutionBackend, retain_heap, timed_predict
 from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
 
 #: Bundles a worker keeps attached (current system + one swap-ago); the
@@ -85,10 +85,11 @@ class WorkerCrashError(RuntimeError):
 
 
 def _worker_initializer(extra_sys_path: list[str]) -> None:
-    """Mirror the parent's import path in a spawned worker."""
+    """Mirror the parent's import path and heap policy in a spawned worker."""
     for entry in reversed(extra_sys_path):
         if entry and entry not in sys.path:
             sys.path.insert(0, entry)
+    retain_heap()
 
 
 def _worker_attach(conn, attached: dict, bundle_dir: str):

@@ -66,7 +66,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.core.pipeline import GesturePrint, PipelineResult
-from repro.serving.backends import ExecutionBackend, InlineBackend
+from repro.serving.backends import ExecutionBackend, InlineBackend, retain_heap
 from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
 from repro.serving.observability.metrics import published, tally, total
 from repro.serving.observability.tracing import TraceRecord, Tracer
@@ -398,6 +398,7 @@ class InferenceEngine:
                 raise ValueError("hedge_ms='auto' needs an attached scheduler")
         elif hedge_ms is not None and hedge_ms <= 0:
             raise ValueError("hedge_ms must be > 0")
+        retain_heap()
         self.system = system
         self.max_batch_size = max_batch_size
         self.scheduler = scheduler

@@ -101,6 +101,26 @@ class TestGesIDNet:
         assert primary.tobytes() == model.head1(features["fused1"]).tobytes()
         assert auxiliary.tobytes() == model.head2(features["fused2"]).tobytes()
 
+    @pytest.mark.parametrize("frozen", [False, True])
+    def test_inference_path_skips_the_auxiliary_branch(self, frozen):
+        model = GesIDNet(3, _tiny_config(), rng=np.random.default_rng(0))
+        if frozen:
+            model.freeze()
+        else:
+            model.eval()
+        x = np.random.default_rng(1).normal(size=(5, 16, 8))
+        primary, _ = model(x)
+
+        def unused(*_args):
+            raise AssertionError("the auxiliary branch ran")
+
+        for branch in (model.resize_1to2, model.fusion2, model.head2):
+            branch.forward = unused
+        for geometry in (None, model.geometry(x)):
+            alone, auxiliary = model(x, geometry, auxiliary=False)
+            assert auxiliary is None
+            assert alone.tobytes() == primary.tobytes()
+
     def test_full_gradient_check(self):
         model = GesIDNet(3, _tiny_config(), rng=np.random.default_rng(0))
         model.train()
