@@ -138,7 +138,7 @@ def _scraped_counters(metrics: MetricsRegistry) -> dict:
 def _phase_crash(system) -> dict:
     samples = _samples(TOTAL_REQUESTS)
     metrics = MetricsRegistry()
-    scheduler = BatchScheduler(slo_ms=SLO_MS, max_batch=MAX_BATCH)
+    scheduler = BatchScheduler(slo_ms=SLO_MS)
     backend = ProcessPoolBackend(
         workers=WORKERS, heartbeat_ms=HEARTBEAT_MS, max_respawns=4,
         metrics=metrics,

@@ -113,9 +113,7 @@ def _server(system, ssl_context=None) -> GatewayServer:
     # execution is also the window a newly-arrived premium frame can sit
     # unread; a premium round trip crosses ~two such windows plus its
     # own batch, and 3 x 25% leaves wire/GIL headroom inside the SLO.
-    scheduler = BatchScheduler(
-        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.25, margin_ms=10.0
-    )
+    scheduler = BatchScheduler(slo_ms=SLO_MS, safety=0.25, margin_ms=10.0)
     engine = InferenceEngine(system, max_batch_size=MAX_BATCH, scheduler=scheduler)
     warm = _samples(3 * NUM_CLIENTS, seed=17)
     engine.predict_one(warm[0])

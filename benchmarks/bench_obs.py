@@ -109,7 +109,7 @@ def _phase_scrape(system) -> dict:
     samples = _samples(SCRAPE_EVENTS)
     metrics = MetricsRegistry()
     tracer = Tracer(capacity=4 * SCRAPE_EVENTS, metrics=metrics)
-    scheduler = BatchScheduler(slo_ms=SLO_MS, max_batch=MAX_BATCH)
+    scheduler = BatchScheduler(slo_ms=SLO_MS)
     engine = InferenceEngine(
         system, max_batch_size=MAX_BATCH, scheduler=scheduler,
         metrics=metrics, tracer=tracer,

@@ -69,9 +69,7 @@ def _warmed_engine(system) -> InferenceEngine:
     see: the serving loop only polls once per arrival gap (~5 ms here),
     and the latency model carries a few ms of prediction error.
     """
-    scheduler = BatchScheduler(
-        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.7, margin_ms=10.0
-    )
+    scheduler = BatchScheduler(slo_ms=SLO_MS, safety=0.7, margin_ms=10.0)
     engine = InferenceEngine(system, max_batch_size=MAX_BATCH, scheduler=scheduler)
     samples = _stream_samples(NUM_STREAMS, 3, seed=17)
     engine.predict_one(samples[0, 0])  # BLAS pools / allocator
@@ -153,7 +151,6 @@ def _hot_reload_phase(system, samples: np.ndarray) -> dict:
         engine = InferenceEngine(
             registry.load(checkpoint),
             max_batch_size=MAX_BATCH,
-            scheduler=BatchScheduler(slo_ms=None, max_batch=MAX_BATCH),
         )
         before = [engine.submit(sample) for sample in flat[:4]]
         # A back-end retrain lands: another process overwrites the

@@ -135,7 +135,7 @@ def _phase_tail(system, *, hedge_ms, pin_cores: bool) -> dict:
     samples = _samples(TOTAL_REQUESTS)
     hang_points = {max(int(TOTAL_REQUESTS * f), 1) for f in HANG_FRACTIONS}
     metrics = MetricsRegistry()  # fresh per leg: counters stay per-run
-    scheduler = BatchScheduler(slo_ms=SLO_MS, max_batch=MAX_BATCH)
+    scheduler = BatchScheduler(slo_ms=SLO_MS)
     backend = ProcessPoolBackend(
         workers=WORKERS,
         heartbeat_ms=HEARTBEAT_MS,

@@ -8,8 +8,9 @@ This bench drives the same localhost-TCP gateway workload
 their requests) over each execution backend:
 
 * **inline** — the single-process baseline: exec blocks the event loop;
-* **thread** — a thread pool sharing the one system: socket IO
-  overlaps exec, BLAS releases the GIL;
+* **thread** — a thread pool sharing the one system, one thread per
+  usable core: socket IO overlaps exec, BLAS releases the GIL (more
+  threads than cores only split batches and contend for the GIL);
 * **process** — ``--backend process --workers 4``: worker processes
   attached to one read-only mmap'd weight arena, true multi-core exec.
 
@@ -58,7 +59,6 @@ FIDELITY_EVENTS = 6
 SLO_MS = 50.0
 MAX_BATCH = 32
 PROCESS_WORKERS = 4
-THREAD_WORKERS = 4
 #: Acceptance bar: the 4-process pool must at least double the inline
 #: (single-process) gateway throughput — asserted in strict mode on
 #: hosts with enough cores for the claim to be physically possible.
@@ -87,7 +87,7 @@ def _samples(count: int, seed: int = 3) -> np.ndarray:
 
 
 def _make_backend(name: str):
-    workers = {"inline": None, "thread": THREAD_WORKERS, "process": PROCESS_WORKERS}
+    workers = {"inline": None, "thread": _usable_cores(), "process": PROCESS_WORKERS}
     return create_backend(name, workers=workers[name])
 
 
@@ -102,9 +102,7 @@ def _warm_backend(backend, system, samples: np.ndarray) -> None:
 
 
 def _server(system, backend) -> GatewayServer:
-    scheduler = BatchScheduler(
-        slo_ms=SLO_MS, max_batch=MAX_BATCH, safety=0.25, margin_ms=10.0
-    )
+    scheduler = BatchScheduler(slo_ms=SLO_MS, safety=0.25, margin_ms=10.0)
     engine = InferenceEngine(
         system, max_batch_size=MAX_BATCH, scheduler=scheduler, backend=backend
     )

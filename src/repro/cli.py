@@ -614,31 +614,17 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         streams[f"device-{i}"] = list(recording.frames)
     num_rounds = max(len(frames) for frames in streams.values())
 
-    # --hedge-ms auto without an explicit --slo-ms gets the default 50 ms
-    # SLO: its threshold is fitted from the scheduler's latency model, so
-    # hedging needs one attached.
-    slo_ms = args.slo_ms
-    hedge_ms = _hedge_arg(args.hedge_ms)
-    if slo_ms is None and hedge_ms == "auto":
-        slo_ms = 50.0
-    scheduler = None
-    if slo_ms is not None:
-        scheduler = BatchScheduler(slo_ms=slo_ms, max_batch=args.max_batch)
     backend = _build_backend(args)
     metrics_server, tracer, trace_log = _build_observability(args)
     engine = InferenceEngine(
         system,
         max_batch_size=args.max_batch,
-        scheduler=scheduler,
+        scheduler=BatchScheduler(slo_ms=args.slo_ms),
         backend=backend,
-        hedge_ms=hedge_ms,
+        hedge_ms=_hedge_arg(args.hedge_ms),
         tracer=tracer,
     )
-    hub = StreamHub(
-        engine=engine,
-        slo_ms=slo_ms,
-        base_seed=args.seed,
-    )
+    hub = StreamHub(engine=engine, slo_ms=args.slo_ms, base_seed=args.seed)
     for stream_id in streams:
         hub.open_stream(stream_id)
 
@@ -666,7 +652,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             trace_log.close()
     elapsed = time.perf_counter() - start
 
-    stats = hub.engine.stats
+    stats = engine.stats
+    snap = engine.scheduler.snapshot()
+    p95 = snap["queue_p95_ms"]
     summary = {
         "streams": args.streams,
         "rounds": num_rounds,
@@ -679,16 +667,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         "classification_errors": len(hub.pop_errors()),
         "model_version": hub.engine.model_version,
         "model_swaps": stats.swaps,
+        "slo_ms": args.slo_ms,
+        "batch_limit": snap["batch_limit"],
+        "deadline_flushes": snap["deadline_flushes"],
+        "depth_flushes": snap["depth_flushes"],
+        "idle_flushes": snap["idle_flushes"],
+        "queue_p95_ms": round(p95, 3) if p95 is not None else None,
     }
-    if scheduler is not None:
-        snap = scheduler.snapshot()
-        summary["slo_ms"] = slo_ms
-        summary["batch_limit"] = snap["batch_limit"]
-        summary["deadline_flushes"] = snap["deadline_flushes"]
-        summary["depth_flushes"] = snap["depth_flushes"]
-        summary["idle_flushes"] = snap["idle_flushes"]
-        p95 = snap["queue_p95_ms"]
-        summary["queue_p95_ms"] = round(p95, 3) if p95 is not None else None
     print(json.dumps(summary, indent=2))
     for stream_event in events:
         event = stream_event.event
@@ -815,8 +800,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "the allowed CPUs (os.sched_setaffinity; no-op "
                             "where unsupported)")
     serve.add_argument("--slo-ms", type=float, default=None,
-                       help="p95 span-close -> event-delivery latency target; "
-                            "enables the deadline-aware scheduler")
+                       help="p95 span-close -> event-delivery latency target "
+                            "of the batch scheduler (adaptive batch limit, "
+                            "deadline flushes); gateway mode defaults to 50")
     serve.add_argument("--watch-model", action="store_true",
                        help="re-check the checkpoint between rounds and "
                             "hot-swap an overwritten model without dropping "

@@ -23,17 +23,19 @@ bit-for-bit); with a thread or process pool, batches are *airborne*
 between dispatch and collection and the caller (e.g. the gateway's
 event loop) overlaps its own work with the executor's.
 
-Batches are released by one of four triggers:
+Every engine owns one :class:`~repro.serving.scheduler.BatchScheduler`
+(one with no SLO unless the caller passes its own), and it decides every
+release but the explicit one.  Each release is counted under the
+trigger that fired:
 
-* **depth** — the queue reached the effective batch limit (a fixed
-  ``max_batch_size``, or the adaptive limit of an attached
-  :class:`~repro.serving.scheduler.BatchScheduler`);
-* **deadline** — with a scheduler, every request carries an arrival
-  timestamp and an optional per-request deadline; :meth:`submit` and
-  :meth:`poll` flush as soon as waiting any longer would be predicted to
-  miss the earliest pending deadline (a deadline already in the past is
-  clamped to "due now": it forces an immediate dispatch instead of
-  feeding negative slack into the scheduler);
+* **depth** — the queue reached the scheduler's batch limit:
+  ``max_batch_size``, or less while an SLO's adaptive limit is tighter;
+* **deadline** — every request carries an arrival timestamp and a
+  deadline (its own, else arrival plus the scheduler's SLO, if any);
+  :meth:`submit` and :meth:`poll` flush as soon as waiting any longer
+  would be predicted to miss the earliest pending deadline (a deadline
+  already in the past is clamped to "due now": it forces an immediate
+  dispatch instead of feeding negative slack into the scheduler);
 * **idle slot** — ``poll(dispatch_idle=True)`` (the gateway's pump)
   dispatches whatever is pending while a backend slot is free, so the
   backend never idles while work waits;
@@ -333,16 +335,16 @@ class InferenceEngine:
     system:
         A fitted :class:`~repro.core.pipeline.GesturePrint`.
     max_batch_size:
-        Hard auto-flush threshold: ``submit`` triggers a flush as soon as
-        this many requests are pending, bounding both memory and the
-        latency of the oldest queued request.
+        Hard batch cap, handed to the scheduler as the upper clamp of its
+        batch limit: ``submit`` triggers a flush no later than this many
+        pending requests, bounding both memory and the latency of the
+        oldest queued request.
     scheduler:
-        Optional :class:`~repro.serving.scheduler.BatchScheduler`.  When
-        attached, the effective batch limit is the *minimum* of
-        ``max_batch_size`` and the scheduler's adaptive limit, and
-        ``submit``/``poll`` also flush when the earliest pending deadline
-        is about to run out of budget.  The engine adopts the scheduler's
-        clock so arrival timestamps and deadlines share one time base.
+        The :class:`~repro.serving.scheduler.BatchScheduler` that decides
+        releases; default: one with no SLO on ``clock`` and ``metrics``.
+        A scheduler serves one engine.  The engine adopts the
+        scheduler's clock so arrival timestamps and deadlines share one
+        time base.
     backend:
         Optional :class:`~repro.serving.backends.ExecutionBackend`; the
         default :class:`~repro.serving.backends.InlineBackend` executes
@@ -350,7 +352,8 @@ class InferenceEngine:
         backend it passes in (close it when done); the engine closes the
         backend it created itself via :meth:`close`.
     clock:
-        Monotonic time source (overridden by the scheduler's, if any).
+        Monotonic time source of the default scheduler (a passed
+        scheduler brings its own).
     hedge_ms:
         Tail-latency hedging.  ``None`` (default) disables it.  A float
         duplicates any airborne batch older than that many milliseconds
@@ -358,7 +361,7 @@ class InferenceEngine:
         is cancelled at collection, and no ticket is ever delivered
         twice (delivery happens exactly once per batch, from whichever
         future won).  The string ``"auto"`` derives the threshold from
-        the attached scheduler's latency model
+        the scheduler's latency model
         (:meth:`~repro.serving.scheduler.BatchScheduler.hedge_threshold_s`):
         roughly the observed p95, floored at twice the predicted
         batch time, and inactive until the model has observations.
@@ -394,24 +397,22 @@ class InferenceEngine:
         if isinstance(hedge_ms, str):
             if hedge_ms != "auto":
                 raise ValueError("hedge_ms must be a float, None, or 'auto'")
-            if scheduler is None:
-                raise ValueError("hedge_ms='auto' needs an attached scheduler")
         elif hedge_ms is not None and hedge_ms <= 0:
             raise ValueError("hedge_ms must be > 0")
         retain_heap()
         self.system = system
-        self.max_batch_size = max_batch_size
+        self._metrics = metrics if metrics is not None else get_metrics()
+        if scheduler is None:
+            scheduler = BatchScheduler(slo_ms=None, clock=clock, metrics=self._metrics)
+        scheduler.bind(max_batch_size)
         self.scheduler = scheduler
         self._hedge_auto = hedge_ms == "auto"
         self._hedge_s = hedge_ms / 1e3 if isinstance(hedge_ms, (int, float)) else None
-        self._clock = scheduler.clock if scheduler is not None else clock
+        self._clock = scheduler.clock
         self._owns_backend = backend is None
         self.backend = backend if backend is not None else InlineBackend()
-        if scheduler is not None:
-            scheduler.bind_backend(self.backend.name, self.backend.slots)
         self.stats = EngineStats()
         self.model_version = 0
-        self._metrics = metrics if metrics is not None else get_metrics()
         self._tracer = tracer
         self._m = _EngineInstruments(self._metrics, self.backend.name)
         self._m.model_version.set(0)
@@ -493,10 +494,8 @@ class InferenceEngine:
 
     @property
     def batch_limit(self) -> int:
-        """Effective depth threshold (hard cap ∧ adaptive scheduler limit)."""
-        if self.scheduler is None:
-            return self.max_batch_size
-        return min(self.max_batch_size, self.scheduler.batch_limit)
+        """Depth threshold: the scheduler's limit, at most ``max_batch_size``."""
+        return self.scheduler.batch_limit
 
     def _validate(self, sample: np.ndarray) -> np.ndarray:
         sample = np.asarray(sample, dtype=np.float64)
@@ -534,7 +533,7 @@ class InferenceEngine:
         ``arrival`` backdates the request (engine clock; e.g. to the
         instant the gesture segment closed upstream) — it defaults to
         now.  ``deadline_ms`` is this request's own latency budget,
-        measured from arrival; without one, a scheduler's global SLO (if
+        measured from arrival; without one, the scheduler's global SLO (if
         any) applies.  A deadline that is *already in the past* (a
         backdated arrival plus a short budget) is clamped to "due now":
         the request rides the immediate-flush path, and the scheduler
@@ -584,7 +583,7 @@ class InferenceEngine:
     # ------------------------------------------------------------------
     def _earliest_slack(self, now: float) -> float | None:
         """Remaining budget (s) of the most urgent pending request."""
-        slo_s = self.scheduler.slo_s if self.scheduler is not None else None
+        slo_s = self.scheduler.slo_s
         earliest: float | None = None
         for _, ticket in self._pending:
             deadline = ticket.deadline
@@ -598,19 +597,11 @@ class InferenceEngine:
         depth = len(self._pending)
         if depth == 0:
             return False
-        if depth >= self.max_batch_size:  # hard cap, scheduler or not
+        if self.scheduler.should_flush(depth, slack_s=self._earliest_slack(now)):
             return True
-        if self.scheduler is not None:
-            if self.scheduler.should_flush(depth, slack_s=self._earliest_slack(now)):
-                return True
-            if idle_slot:
-                self.scheduler.note_idle_flush()
-            return idle_slot
         if idle_slot:
-            return True
-        # No scheduler: still honour explicit per-request deadlines.
-        slack = self._earliest_slack(now)
-        return slack is not None and slack <= 0.0
+            self.scheduler.note_idle_flush()
+        return idle_slot
 
     def poll(self, *, dispatch_idle: bool = False) -> list[Ticket]:
         """Collect landed batches; dispatch if the queue must run *now*.
@@ -626,8 +617,8 @@ class InferenceEngine:
         pending is dispatched now, counted as an idle-slot flush.  The
         gateway passes it — its admission queue is where batches grow
         while every slot is busy.  In-process callers leave it off: the
-        inline backend's single slot always looks free, and a hub with a
-        scheduler relies on accumulating across rounds.
+        inline backend's single slot always looks free, and a hub with an
+        SLO relies on accumulating across rounds.
         """
         if self._in_flush:
             return []
@@ -720,7 +711,7 @@ class InferenceEngine:
         """Age past which an airborne batch earns a hedge (None: never)."""
         if self._hedge_s is not None:
             return self._hedge_s
-        if self._hedge_auto and self.scheduler is not None:
+        if self._hedge_auto:
             return self.scheduler.hedge_threshold_s(batch_size)
         return None
 
@@ -867,19 +858,18 @@ class InferenceEngine:
             # batch whose second worker also died lands in the exception
             # path above and is a failed batch, not a recovered one.
             self.stats.retried_batches += 1
-        if self.scheduler is not None:
-            # Submit-to-landing wall time: execution *plus* executor
-            # queueing, so the adaptive limit prices the backend it
-            # actually runs on, not an idealised instant executor.
-            # Retried and hedged batches are excluded inside (their wall
-            # time prices the recovery, not the backend).
-            self.scheduler.observe_batch(
-                len(entries),
-                done - flight.dispatched,
-                service_s=exec_s,
-                retried=retried,
-                hedged=hedged,
-            )
+        # Submit-to-landing wall time: execution *plus* executor
+        # queueing, so the adaptive limit prices the backend it actually
+        # runs on, not an idealised instant executor.  Retried and
+        # hedged batches are excluded inside (their wall time prices the
+        # recovery, not the backend).
+        self.scheduler.observe_batch(
+            len(entries),
+            done - flight.dispatched,
+            service_s=exec_s,
+            retried=retried,
+            hedged=hedged,
+        )
         self.stats.batches += 1
         self.stats.batched_samples += len(entries)
         self.stats.max_batch = max(self.stats.max_batch, len(entries))
@@ -890,10 +880,7 @@ class InferenceEngine:
         for row, (_, ticket) in enumerate(entries):
             if ticket.cancelled:
                 continue  # discarded while airborne: no late delivery
-            if self.scheduler is not None:
-                self.scheduler.record_queue_latency(
-                    done - ticket.arrival, excluded=excluded
-                )
+            self.scheduler.record_queue_latency(done - ticket.arrival, excluded=excluded)
             self._m.queue_wait.observe(done - ticket.arrival)
             if ticket.trace is not None:
                 ticket.trace.mark_landed(
@@ -1076,5 +1063,6 @@ class InferenceEngine:
         self.flush(raise_on_error=False)
         self._metrics.unregister_collector(self._collect_metrics)
         self._exporter.close()
+        self.scheduler.close()
         if self._owns_backend:
             self.backend.close()

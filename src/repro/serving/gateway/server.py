@@ -220,7 +220,9 @@ class GatewayServer(FrameListener):
     engine / backend:
         Share an existing engine, or configure the private one, whose
         scheduler targets ``slo_ms`` with an adaptive batch limit of at
-        most ``max_batch_size`` (``slo_ms=None``: no scheduler).
+        most ``max_batch_size`` (``slo_ms=None``: no SLO, so the limit
+        stays at ``max_batch_size`` and connected tenants' SLOs do not
+        tighten it).
         ``backend`` picks where batches execute
         (``repro.serving.backends``; default inline): with a thread or
         process pool the flush loop overlaps batch execution with socket
@@ -323,15 +325,10 @@ class GatewayServer(FrameListener):
         if engine is None:
             if system is None:
                 raise ValueError("pass a fitted system or an engine")
-            scheduler = None
-            if slo_ms is not None:
-                scheduler = BatchScheduler(
-                    slo_ms=slo_ms, max_batch=max_batch_size, metrics=metrics
-                )
             engine = InferenceEngine(
                 system,
                 max_batch_size=max_batch_size,
-                scheduler=scheduler,
+                scheduler=BatchScheduler(slo_ms=slo_ms, metrics=metrics),
                 backend=backend,
                 hedge_ms=hedge_ms,
                 metrics=metrics,
@@ -359,9 +356,7 @@ class GatewayServer(FrameListener):
         self.quota = quota
         #: The scheduler's configured SLO, restored when no SLO-carrying
         #: tenant is connected (see :meth:`_refresh_slo`).
-        self._base_slo_ms = (
-            self.engine.scheduler.slo_ms if self.engine.scheduler is not None else None
-        )
+        self._base_slo_ms = self.engine.scheduler.slo_ms
         self._flush_task: asyncio.Task | None = None
         self._kick: asyncio.Event | None = None
         self._metrics.register_collector(self._collect_metrics)
@@ -734,17 +729,17 @@ class GatewayServer(FrameListener):
         premium request arriving mid-flush waits out the whole batch).
         So the budget follows who is actually on the wire: the minimum
         ``slo_ms`` over connected tenants' classes, falling back to the
-        configured default when none of them carries an SLO.
+        configured default when none of them carries an SLO.  A gateway
+        configured without an SLO keeps none.
         """
-        scheduler = self.engine.scheduler
-        if scheduler is None:
+        if self._base_slo_ms is None:
             return
         active = [
             connection.tenant.slo_class.slo_ms
             for connection in self._connections
             if connection.tenant.slo_class.slo_ms is not None
         ]
-        scheduler.slo_ms = min(active) if active else self._base_slo_ms
+        self.engine.scheduler.slo_ms = min(active) if active else self._base_slo_ms
 
     #: A client joining or leaving moves the tightest connected SLO.
     _roster_changed = _refresh_slo
@@ -774,7 +769,6 @@ class GatewayServer(FrameListener):
     def snapshot(self) -> dict:
         """Operational summary (the STATS reply)."""
         engine_stats = self.engine.stats
-        scheduler = self.engine.scheduler
         return {
             "server": self.name,
             "node_id": self.node_id,
@@ -803,7 +797,7 @@ class GatewayServer(FrameListener):
                 # worker, and did it heal?" remotely.
                 "backend": self.engine.backend.describe(),
             },
-            "scheduler": scheduler.snapshot() if scheduler is not None else None,
+            "scheduler": self.engine.scheduler.snapshot(),
             "tenants": self.tenants.snapshot(),
             "auth": {
                 "enabled": self.tenants.auth is not None,

@@ -34,7 +34,6 @@ no engine, so every decision is unit-testable with a fake clock:
 
 from __future__ import annotations
 
-import math
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -42,6 +41,7 @@ from typing import Any, Callable, Deque, Iterable, Mapping
 
 from repro.serving.gateway.quota import QuotaPolicy, parse_quota_policies
 from repro.serving.gateway.security import TenantAuthenticator
+from repro.serving.observability.metrics import LatencyWindow
 
 
 class TokenBucket:
@@ -149,24 +149,19 @@ class TenantStats:
     rejected: int = 0
     rate_limited: int = 0
     in_flight: int = 0
-    latency_window: Deque[float] = field(default_factory=deque, repr=False)
-
-    LATENCY_WINDOW = 256
+    latency_window: LatencyWindow = field(
+        default_factory=lambda: LatencyWindow(maxlen=256), repr=False
+    )
 
     def record_latency(self, latency_s: float) -> None:
         """Push one delivery latency into the sliding p95 window."""
         self.latency_window.append(latency_s)
-        while len(self.latency_window) > self.LATENCY_WINDOW:
-            self.latency_window.popleft()
 
     @property
     def p95_ms(self) -> float | None:
         """p95 delivery latency (ms) over the sliding window, or None."""
-        if not self.latency_window:
-            return None
-        ordered = sorted(self.latency_window)
-        rank = math.ceil(0.95 * len(ordered)) - 1
-        return ordered[max(rank, 0)] * 1e3
+        p95 = self.latency_window.p95()
+        return None if p95 is None else p95 * 1e3
 
     def as_dict(self) -> dict:
         """JSON-ready counters (one tenant row of the STATS reply)."""

@@ -12,8 +12,8 @@ over one :class:`~repro.serving.engine.InferenceEngine`:
   stream by stream;
 * gesture spans closed by any stream are *deferred* into the shared
   engine instead of classified inline; :meth:`push_round` flushes (or,
-  with a latency SLO, lets the deadline-aware scheduler decide) once per
-  frame round, so spans that close together across streams ride one
+  when the engine's scheduler has a latency SLO, lets it decide) once
+  per frame round, so spans that close together across streams ride one
   vectorised forward pass;
 * a span whose batch fails is never lost silently: the failure is
   recorded as a :class:`StreamError` (see :meth:`pop_errors`) while the
@@ -123,11 +123,8 @@ class StreamHub:
         Forwarded to the private engine.
     slo_ms:
         Per-span latency budget (span close -> event delivery), tagged
-        onto every submitted span as its request deadline.  It also gives
-        the private engine a :class:`~repro.serving.scheduler.BatchScheduler`,
-        so :meth:`push_round` *polls* instead of force-flushing: batches
-        accumulate across rounds until the adaptive depth limit or a
-        deadline releases them.
+        onto every submitted span as its request deadline, and the SLO of
+        the private engine's :class:`~repro.serving.scheduler.BatchScheduler`.
     base_seed:
         Root of the per-stream RNG derivation.
     """
@@ -144,11 +141,10 @@ class StreamHub:
         if engine is None:
             if system is None:
                 raise ValueError("pass a fitted system or an engine")
-            scheduler = None
-            if slo_ms is not None:
-                scheduler = BatchScheduler(slo_ms=slo_ms, max_batch=max_batch_size)
             engine = InferenceEngine(
-                system, max_batch_size=max_batch_size, scheduler=scheduler
+                system,
+                max_batch_size=max_batch_size,
+                scheduler=BatchScheduler(slo_ms=slo_ms),
             )
         self.engine = engine
         self.slo_ms = slo_ms
@@ -250,13 +246,13 @@ class StreamHub:
     ) -> list[StreamEvent]:
         """Feed one frame per stream, then release the shared micro-batch.
 
-        This is the serving loop's steady state.  Without a scheduler,
-        everything pending is flushed — all spans that closed on this
-        round, across every stream, ride one vectorised forward pass.
-        With a scheduler, the engine is *polled* instead: spans may
-        accumulate across rounds until the adaptive depth limit or the
-        oldest span's deadline releases them (deliveries then happen on a
-        later round, still within the SLO).
+        This is the serving loop's steady state.  When the engine's
+        scheduler has no SLO, everything pending is flushed — all spans
+        that closed on this round, across every stream, ride one
+        vectorised forward pass.  With an SLO, the engine is *polled*
+        instead: spans may accumulate across rounds until the adaptive
+        depth limit or the oldest span's deadline releases them
+        (deliveries then happen on a later round, still within the SLO).
 
         All stream ids are validated **before** any frame is pushed, so a
         typo'd id cannot leave the round half-applied with the other
@@ -274,7 +270,7 @@ class StreamHub:
             )
         for stream_id, frame in resolved:
             self._streams[stream_id].push_frame(frame)
-        if self.engine.scheduler is not None:
+        if self.engine.scheduler.slo_ms is not None:
             self.engine.poll()
         else:
             self.engine.flush(raise_on_error=False)

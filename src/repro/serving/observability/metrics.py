@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import math
 import threading
 from typing import Callable, Iterable, Mapping
 
@@ -48,6 +49,7 @@ __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
     "Gauge",
     "Histogram",
+    "LatencyWindow",
     "MetricsRegistry",
     "StatsExporter",
     "counted",
@@ -564,6 +566,23 @@ class StatsExporter:
         self._metrics.unregister_collector(self.export)
         self.export()
         self._plan = []
+
+
+class LatencyWindow(collections.deque):
+    """The most recent ``maxlen`` latency samples (oldest evicted), with
+    a nearest-rank p95 over them."""
+
+    # deque's own (iterable, maxlen) signature: copy and pickle rebuild
+    # a deque subclass through it.
+    def __init__(self, iterable: Iterable[float] = (), maxlen: int = 512) -> None:
+        super().__init__(iterable, maxlen)
+
+    def p95(self) -> float | None:
+        """Nearest-rank 95th percentile, or None while empty."""
+        if not self:
+            return None
+        ordered = sorted(self)
+        return ordered[max(math.ceil(0.95 * len(ordered)) - 1, 0)]
 
 
 _GLOBAL_LOCK = threading.Lock()

@@ -16,7 +16,7 @@ lone queued span could wait unboundedly for company.
   and batches grow only while every slot is busy (the adaptive batching
   of Clipper, Crankshaw et al., NSDI'17); deadlines there order and shed
   work instead of delaying it.  Cross-round accumulation still applies
-  in-process — a :class:`~repro.serving.hub.StreamHub` with a scheduler:
+  in-process — a :class:`~repro.serving.hub.StreamHub` with an SLO:
   between the depth and deadline triggers the batch keeps accumulating,
   so spans closing near each other ride one vectorised forward pass;
 * **how large a batch to allow** — adapt the effective batch limit
@@ -28,10 +28,12 @@ lone queued span could wait unboundedly for company.
 The scheduler is a pure policy object: it never touches the queue and
 has no threads.  The engine consults :meth:`should_flush` on every
 ``submit``/``poll`` and reports measurements back through
-:meth:`observe_batch` / :meth:`record_queue_latency`.  Every release is
-counted under the trigger that fired (``depth_flushes``,
-``deadline_flushes``, ``idle_flushes``); a batch the engine releases at
-its own hard ``max_batch_size`` cap counts as none of them.
+:meth:`observe_batch` / :meth:`record_queue_latency`.  Every engine
+owns exactly one scheduler (one built with ``slo_ms=None`` when the
+caller passes none), and every release is counted under the trigger
+that fired (``depth_flushes``, ``deadline_flushes``, ``idle_flushes``).
+The engine's ``max_batch_size`` is the upper clamp of the batch limit
+(handed over through :meth:`bind`), so a full batch is a depth flush.
 
 Backend honesty: with a pooled execution backend
 (:mod:`repro.serving.backends`), a batch's latency is no longer just its
@@ -40,25 +42,21 @@ and crosses a thread or process boundary.  The engine therefore feeds
 :meth:`observe_batch` the **submit-to-landing wall time** of the backend
 it actually runs on (plus the worker-measured pure execution time via
 ``service_s``), so the EWMA model amortises the *whole* pipeline: the
-adaptive limit prices executor queueing into its budget, and swapping
-backends re-learns the new cost profile within a few batches.
-:meth:`bind_backend` records which backend the observations describe.
+adaptive limit prices executor queueing into its budget.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque
+from typing import Callable
 
-from repro.serving.observability.metrics import MetricsRegistry, StatsExporter, counted, get_metrics
+from repro.serving.observability.metrics import LatencyWindow, MetricsRegistry, StatsExporter
+from repro.serving.observability.metrics import counted, get_metrics
 
 #: Forgetting factor of the latency model; higher adapts faster.
 _EWMA_ALPHA = 0.25
-#: Samples kept in each sliding latency window (p95 estimates).
-_WINDOW = 512
 
 
 def request_order(
@@ -93,17 +91,11 @@ class SchedulerStats:
         "repro_scheduler_idle_flushes_total",
         "Batches released at once because a backend slot was free",
     )
+    #: Retried and hedged batches are not observed (see
+    #: :meth:`BatchScheduler.observe_batch`); the engine counts them.
     observed_batches: int = counted(
         "repro_scheduler_observed_batches_total", "Batch latency observations fed to the EWMA model"
     )
-    #: Batches excluded from the latency model because a worker crash
-    #: forced a redispatch (their wall time prices the crash recovery,
-    #: not the backend's steady-state cost).
-    retried_batches: int = 0
-    #: Batches excluded because the engine hedged them onto a second
-    #: slot: whichever copy lands first, the observation prices the
-    #: straggler recovery, not the backend's steady-state cost.
-    hedged_batches: int = 0
     #: Delivered-latency samples kept out of the p95 sliding window
     #: (rides of retried or hedged batches — see
     #: ``record_queue_latency(excluded=...)``).
@@ -113,13 +105,13 @@ class SchedulerStats:
         "(rides of retried or hedged batches)",
     )
     #: Delivered queue latencies (seconds), most recent last.
-    queue_window: Deque[float] = field(default_factory=deque, repr=False)
+    queue_window: LatencyWindow = field(default_factory=LatencyWindow, repr=False)
     #: Submit-to-landing wall times (seconds) of recent non-excluded
     #: batches — the hedge threshold's statistic: it is on the same
     #: clock as the flight age it is compared against, where the
     #: arrival-based ``queue_window`` would double-count pre-dispatch
     #: wait and hedge far too late under assembly-heavy load.
-    wall_window: Deque[float] = field(default_factory=deque, repr=False)
+    wall_window: LatencyWindow = field(default_factory=LatencyWindow, repr=False)
 
 
 class BatchScheduler:
@@ -129,11 +121,10 @@ class BatchScheduler:
     ----------
     slo_ms:
         Target p95 queue latency (submit -> delivery) in milliseconds.
-        ``None`` disables deadline-forced flushes: the policy degrades to
-        a pure depth threshold (PR 1 behaviour) while still tracking
-        latency statistics.
-    max_batch:
-        Upper clamp of the adaptive batch limit (the lower one is 1).
+        ``None``: no global budget — the batch limit stays at the
+        engine's cap, and only requests carrying their own deadline can
+        force a deadline flush.  Latency statistics are tracked either
+        way.
     safety:
         Fraction of the SLO budget the *execution* of a full batch may
         consume; the rest is queueing headroom (keeps p95, not the mean,
@@ -156,7 +147,6 @@ class BatchScheduler:
         self,
         *,
         slo_ms: float | None = 50.0,
-        max_batch: int = 64,
         safety: float = 0.8,
         margin_ms: float = 2.0,
         clock: Callable[[], float] = time.monotonic,
@@ -164,12 +154,12 @@ class BatchScheduler:
     ) -> None:
         if slo_ms is not None and slo_ms < 0:
             raise ValueError("slo_ms must be >= 0")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if not 0.0 < safety <= 1.0:
             raise ValueError("safety must be in (0, 1]")
         self.slo_ms = slo_ms
-        self.max_batch = max_batch
+        #: Upper clamp of the batch limit: the owning engine's
+        #: ``max_batch_size``, set by :meth:`bind`.
+        self.max_batch: int | None = None
         self.safety = safety
         self.margin_s = margin_ms / 1e3
         self.clock = clock
@@ -177,14 +167,11 @@ class BatchScheduler:
         # EW moments of (batch_size, latency) for the linear model.
         self._mx = self._my = self._mxx = self._mxy = 0.0
         self._fitted = False
-        #: Execution backend the latency observations describe.
-        self.backend_name: str | None = None
-        self.backend_slots: int = 1
         # EWMA of executor wait (submit-to-landing minus pure execution).
         self._mwait = 0.0
         self._wait_fitted = False
-        metrics = metrics if metrics is not None else get_metrics()
-        StatsExporter(metrics, self.stats)
+        self._metrics = metrics = metrics if metrics is not None else get_metrics()
+        self._exporter = StatsExporter(metrics, self.stats)
         self._m_gauges = {
             key: metrics.gauge(f"repro_scheduler_{key}", help_text)
             for key, help_text in (
@@ -197,6 +184,11 @@ class BatchScheduler:
             )
         }
         metrics.register_collector(self._collect_metrics)
+
+    def close(self) -> None:
+        """Stop publishing (the owning engine's :meth:`close` calls it)."""
+        self._metrics.unregister_collector(self._collect_metrics)
+        self._exporter.close()
 
     def _collect_metrics(self) -> None:
         """Scrape-time gauge refresh from the adaptation snapshot."""
@@ -243,7 +235,10 @@ class BatchScheduler:
 
     @property
     def batch_limit(self) -> int:
-        """Largest batch whose predicted execution fits the budget."""
+        """Largest batch whose predicted execution fits the budget, at
+        most the engine's cap (the cap itself without an SLO)."""
+        if self.max_batch is None:
+            raise RuntimeError("the scheduler is not bound to an engine yet")
         if self.slo_s is None or not self._fitted:
             return self.max_batch
         overhead, per_sample = self._model()
@@ -285,24 +280,10 @@ class BatchScheduler:
         self.stats.idle_flushes += 1
 
     # ------------------------------------------------------------------
-    def bind_backend(self, name: str, slots: int = 1) -> None:
-        """Record which execution backend the observations describe.
-
-        Called by the engine at construction.  If the backend actually
-        *changes* (a different name than previously bound), the whole
-        learned state is reset — the EWMA latency model and the p95
-        latency windows: costs and tails learned on one backend — e.g. the inline path's zero
-        queueing — would misprice the next.
-        """
-        if self.backend_name is not None and self.backend_name != name:
-            self._mx = self._my = self._mxx = self._mxy = 0.0
-            self._fitted = False
-            self._mwait = 0.0
-            self._wait_fitted = False
-            self.stats.queue_window.clear()
-            self.stats.wall_window.clear()
-        self.backend_name = name
-        self.backend_slots = max(int(slots), 1)
+    def bind(self, max_batch: int) -> None:
+        """Adopt the owning engine's hard batch cap (called once, by the
+        engine's constructor)."""
+        self.max_batch = max_batch
 
     def observe_batch(
         self,
@@ -324,20 +305,16 @@ class BatchScheduler:
         ``retried`` marks a batch that was redispatched after a worker
         crash: its wall time includes crash detection, respawn, and the
         second execution, none of which describe the backend's
-        steady-state cost — so it is counted but **excluded from the
-        EWMA model** (one crash must not poison the adaptive limit into
-        a panic spiral of tiny batches).  ``hedged`` marks a batch the
-        engine duplicated onto a second slot because the primary
-        outlived its hedge threshold; its wall time prices the straggler
-        (or the hedge race), so it is excluded the same way.
+        steady-state cost — so it is **excluded from the EWMA model**
+        (one crash must not poison the adaptive limit into a panic
+        spiral of tiny batches).  ``hedged`` marks a batch the engine
+        duplicated onto a second slot because the primary outlived its
+        hedge threshold; its wall time prices the straggler (or the
+        hedge race), so it is excluded the same way.  Both are counted
+        by the engine (``EngineStats.retried_batches`` /
+        ``hedged_batches``), not here.
         """
-        if batch_size < 1 or latency_s < 0.0:
-            return
-        if retried or hedged:
-            if retried:
-                self.stats.retried_batches += 1
-            if hedged:
-                self.stats.hedged_batches += 1
+        if batch_size < 1 or latency_s < 0.0 or retried or hedged:
             return
         if service_s is not None:
             wait = max(latency_s - service_s, 0.0)
@@ -357,10 +334,7 @@ class BatchScheduler:
             self._mxx = (1 - a) * self._mxx + a * batch_size * batch_size
             self._mxy = (1 - a) * self._mxy + a * batch_size * latency_s
         self.stats.observed_batches += 1
-        wall = self.stats.wall_window
-        wall.append(float(latency_s))
-        while len(wall) > _WINDOW:
-            wall.popleft()
+        self.stats.wall_window.append(float(latency_s))
 
     def record_queue_latency(self, latency_s: float, *, excluded: bool = False) -> None:
         """Record one delivered request's submit -> delivery latency.
@@ -374,10 +348,7 @@ class BatchScheduler:
         if excluded:
             self.stats.excluded_latency_samples += 1
             return
-        window = self.stats.queue_window
-        window.append(latency_s)
-        while len(window) > _WINDOW:
-            window.popleft()
+        self.stats.queue_window.append(latency_s)
 
     def hedge_threshold_s(self, batch_size: int) -> float | None:
         """Age (s) past which an airborne batch deserves a hedge copy.
@@ -398,11 +369,9 @@ class BatchScheduler:
         if self._wait_fitted:
             predicted += self._mwait
         floor = 2.0 * predicted
-        window = self.stats.wall_window
-        if window:
-            ordered = sorted(window)
-            rank = math.ceil(0.95 * len(ordered)) - 1
-            return max(ordered[max(rank, 0)], floor, 1e-3)
+        p95 = self.stats.wall_window.p95()
+        if p95 is not None:
+            return max(p95, floor, 1e-3)
         # No delivered samples yet: triple the prediction stands in for
         # the unknown tail.
         return max(3.0 * predicted, floor, 1e-3)
@@ -410,20 +379,14 @@ class BatchScheduler:
     @property
     def queue_p95_ms(self) -> float | None:
         """p95 of the recorded queue latencies (None before any delivery)."""
-        window = self.stats.queue_window
-        if not window:
-            return None
-        ordered = sorted(window)
-        rank = math.ceil(0.95 * len(ordered)) - 1  # nearest-rank p95
-        return ordered[max(rank, 0)] * 1e3
+        p95 = self.stats.queue_window.p95()
+        return None if p95 is None else p95 * 1e3
 
     def snapshot(self) -> dict:
         """Operational summary for benchmarks / the CLI."""
         overhead, per_sample = self._model()
         return {
             "slo_ms": self.slo_ms,
-            "backend": self.backend_name,
-            "backend_slots": self.backend_slots,
             "executor_wait_ms": self._mwait * 1e3 if self._wait_fitted else None,
             "batch_limit": self.batch_limit,
             "overhead_ms": overhead * 1e3,
@@ -433,8 +396,6 @@ class BatchScheduler:
             "deadline_flushes": self.stats.deadline_flushes,
             "idle_flushes": self.stats.idle_flushes,
             "observed_batches": self.stats.observed_batches,
-            "retried_batches": self.stats.retried_batches,
-            "hedged_batches": self.stats.hedged_batches,
             "excluded_latency_samples": self.stats.excluded_latency_samples,
             "queue_p95_ms": self.queue_p95_ms,
         }

@@ -111,10 +111,9 @@ class TestCrashRespawn:
             backend.inject_fault("die_in_task")
             engine.submit(x[0])
             engine.flush(raise_on_error=False)
-            snap = scheduler.snapshot()
-            assert snap["retried_batches"] == 1
+            assert engine.stats.retried_batches == 1
             assert scheduler.stats.observed_batches == observed_before
-            assert snap["per_sample_ms"] == pytest.approx(clean)
+            assert scheduler.snapshot()["per_sample_ms"] == pytest.approx(clean)
 
     def test_missed_heartbeat_detects_silent_worker(self, fitted, toy_data):
         """A worker that stops heartbeating (SIGSTOP: alive but silent)

@@ -218,7 +218,6 @@ class TestPooledBackends:
                 assert np.array_equal(wire.user_probs, local.user_probs)
         assert stats["engine"]["backend"]["name"] == "thread"
         assert stats["engine"]["in_flight"] == 0
-        assert stats["scheduler"]["backend"] == "thread"
 
     def test_rate_limited_submit_gets_distinct_code(self, fitted, toy_data):
         samples = _samples(toy_data, 4, seed=9)

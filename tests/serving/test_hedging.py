@@ -15,9 +15,10 @@ threshold.  The invariants under test:
   EWMA update, no p95-window samples — so neither the adaptive batch
   limit nor the reported p95 is priced by duplicated (or
   recovery-priced) wall times;
-* end-to-end over a real process pool: a worker wedged by
-  ``inject_fault("hang_in_task")`` is out-raced by the hedge on the
-  healthy worker.
+* a wedged primary (one that never lands) is out-raced by its hedge;
+  over a real process pool, a worker wedged by
+  ``inject_fault("hang_in_task")`` costs no ticket and delivers none
+  twice.
 
 The deterministic tests drive a hand-released gate backend with a
 manual clock, so hedge timing is exact and no test sleeps.
@@ -26,7 +27,7 @@ manual clock, so hedge timing is exact and no test sleeps.
 import numpy as np
 import pytest
 
-from repro.serving import BatchScheduler, InferenceEngine, ProcessPoolBackend
+from repro.serving import BatchScheduler, InferenceEngine, MetricsRegistry, ProcessPoolBackend
 
 from .conftest import GateBackend, ManualClock
 
@@ -98,8 +99,26 @@ class TestHedgePlacement:
             InferenceEngine(fitted, hedge_ms=0.0)
         with pytest.raises(ValueError):
             InferenceEngine(fitted, hedge_ms="soon")
-        with pytest.raises(ValueError):  # auto needs a latency model
-            InferenceEngine(fitted, hedge_ms="auto")
+
+    def test_auto_hedges_on_an_engine_without_slo(self, fitted, toy_data):
+        """Every engine owns a scheduler, so ``"auto"`` needs no SLO:
+        after one observed batch it hedges a batch that outlives it."""
+        x, _, _ = toy_data
+        engine, backend, clock = _engine(fitted, hedge_ms="auto")
+        assert engine.scheduler.slo_ms is None and engine.hedging
+        engine.submit(x[0], defer_flush=True)
+        engine.dispatch()
+        clock.advance(0.005)
+        backend.release_all()
+        engine.poll()
+        threshold = engine.scheduler.hedge_threshold_s(1)
+        assert threshold is not None and threshold <= 0.020
+        engine.submit(x[1], defer_flush=True)
+        engine.dispatch()
+        clock.advance(0.050)
+        engine.poll()
+        assert engine.stats.hedged_batches == 1
+        assert len(backend.held) == 2
 
 
 class TestFirstResultWins:
@@ -187,7 +206,7 @@ class TestDisconnectedTenant:
 class TestSchedulerHygiene:
     def test_hedged_batch_excluded_from_ewma_and_window(self, fitted, toy_data):
         x, _, _ = toy_data
-        scheduler = BatchScheduler(slo_ms=50.0, max_batch=8)
+        scheduler = BatchScheduler(slo_ms=50.0)
         engine, backend, clock = _engine(fitted, scheduler=scheduler)
         engine._clock = clock  # the scheduler's clock would win otherwise
         # A clean batch first: the model must have real observations.
@@ -207,8 +226,8 @@ class TestSchedulerHygiene:
         backend.release_at(1)
         engine.poll()
         assert engine.stats.hedge_wins == 1
+        assert engine.stats.hedged_batches == 1
         assert scheduler.stats.observed_batches == observed  # no EWMA update
-        assert scheduler.stats.hedged_batches == 1
         assert len(scheduler.stats.queue_window) == window_len  # no samples
         assert scheduler.stats.excluded_latency_samples == 3
 
@@ -217,7 +236,7 @@ class TestSchedulerHygiene:
         now), so its p95 must come from batch wall times: the
         arrival-based queue window double-counts pre-dispatch assembly
         wait and would hedge far too late under deadline-held batches."""
-        scheduler = BatchScheduler(slo_ms=500.0, max_batch=8)
+        scheduler = BatchScheduler(slo_ms=500.0)
         for _ in range(40):
             # Flights land in 20 ms...
             scheduler.observe_batch(4, 0.020, service_s=0.018)
@@ -231,7 +250,7 @@ class TestSchedulerHygiene:
         assert threshold is not None and threshold < 0.100
 
     def test_excluded_batches_stay_out_of_wall_window(self):
-        scheduler = BatchScheduler(slo_ms=500.0, max_batch=8)
+        scheduler = BatchScheduler(slo_ms=500.0)
         scheduler.observe_batch(4, 0.020)
         scheduler.observe_batch(4, 5.0, retried=True)
         scheduler.observe_batch(4, 5.0, hedged=True)
@@ -241,7 +260,7 @@ class TestSchedulerHygiene:
 
     def test_auto_threshold_needs_observations(self, fitted, toy_data):
         x, _, _ = toy_data
-        scheduler = BatchScheduler(slo_ms=50.0, max_batch=8)
+        scheduler = BatchScheduler(slo_ms=50.0)
         engine, backend, clock = _engine(
             fitted, scheduler=scheduler, hedge_ms="auto"
         )
@@ -259,10 +278,40 @@ class TestSchedulerHygiene:
         assert threshold is not None and threshold > 0.0
 
 
+class TestHungPrimary:
+    def test_hedge_outraces_wedged_primary(self, fitted, toy_data):
+        """A primary on a wedged slot never lands: the hedge placed past
+        the threshold delivers once, byte-equal to ``predict_one``, and
+        the wedged copy delivers nothing when it finally lands."""
+        x, _, _ = toy_data
+        engine, backend, clock = _engine(fitted)
+        deliveries: list = []
+        ticket = engine.submit(x[2], callback=deliveries.append, defer_flush=True)
+        engine.dispatch()
+        for _ in range(3):  # wedged, but still inside the threshold
+            clock.advance(HEDGE_MS / 1e3 / 4)
+            engine.poll()
+        assert engine.stats.hedged_batches == 0 and not ticket.done
+        clock.advance(HEDGE_MS / 1e3 / 4 + 1e-3)
+        engine.poll()
+        assert engine.stats.hedged_batches == 1
+        backend.release_at(1)  # the healthy slot lands the hedge
+        engine.poll()
+        assert ticket.done and len(deliveries) == 1
+        assert engine.stats.hedge_wins == 1
+        reference = InferenceEngine(fitted).predict_one(x[2])
+        assert np.array_equal(ticket.result().gesture_probs, reference.gesture_probs)
+        assert np.array_equal(ticket.result().user_probs, reference.user_probs)
+        backend.release_all()  # the wedge clears: cancelled, runs nothing
+        engine.poll()
+        assert len(deliveries) == 1 and engine.num_in_flight == 0
+
+
 class TestProcessPoolHang:
     def test_hedge_outraces_hung_worker(self, fitted, toy_data):
-        """End-to-end: ``hang_in_task`` wedges the primary's worker; the
-        hedge on the healthy worker delivers, nothing is lost or doubled."""
+        """Real processes: ``hang_in_task`` arms a worker, and the ticket
+        is delivered exactly once and byte-equal whichever worker its
+        primary lands on (the race itself is :class:`TestHungPrimary`)."""
         x, _, _ = toy_data
         backend = ProcessPoolBackend(
             workers=2,
@@ -270,24 +319,21 @@ class TestProcessPoolHang:
             hang_timeout_s=30.0,  # hang detection must not win this race
         )
         backend.shutdown_timeout_s = 0.5
-        engine = InferenceEngine(fitted, backend=backend, hedge_ms=200.0)
         try:
+            # Spawn + attach on the backend itself, before any engine can
+            # hedge: both workers are idle again once these land.
+            for future in [backend.submit(fitted, x[:2]) for _ in range(backend.slots)]:
+                future.result(timeout=60)
+            engine = InferenceEngine(
+                fitted, backend=backend, hedge_ms=200.0, metrics=MetricsRegistry()
+            )
+            assert backend.inject_fault("hang_in_task") is not None
             deliveries: list = []
-            warm = engine.predict_many(x[:2])  # spawn + attach off the clock
-            assert len(warm) == 2
-            # Spawn + attach can legitimately out-age the threshold and
-            # hedge the warm-up batch itself, so assert increments.
-            hedged_before = engine.stats.hedged_batches
-            wins_before = engine.stats.hedge_wins
-            backend.inject_fault("hang_in_task")
             ticket = engine.submit(x[2], callback=deliveries.append)
             engine.flush(raise_on_error=False)
             assert ticket.done and len(deliveries) == 1
-            assert engine.stats.hedged_batches == hedged_before + 1
-            assert engine.stats.hedge_wins == wins_before + 1
             reference = InferenceEngine(fitted).predict_one(x[2])
-            assert np.array_equal(
-                ticket.result().gesture_probs, reference.gesture_probs
-            )
+            assert np.array_equal(ticket.result().gesture_probs, reference.gesture_probs)
+            assert np.array_equal(ticket.result().user_probs, reference.user_probs)
         finally:
             backend.close()

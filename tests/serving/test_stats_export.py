@@ -324,7 +324,8 @@ async def scripted_session(fitted, toy_data, metrics, *, backend=None):
         (shard_b.stats, {}),
         (shard_a.engine.stats, {"backend": "inline"}),
         (shard_b.engine.stats, {"backend": backend_name}),
-        (shard_b.engine.scheduler.stats, {}),  # shard a runs without one
+        (shard_a.engine.scheduler.stats, {}),
+        (shard_b.engine.scheduler.stats, {}),
         (registry.stats, {}),
         (tracer.stats, {}),
     ]

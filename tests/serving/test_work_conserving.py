@@ -36,7 +36,7 @@ class OneSlotGate(GateBackend):
 def _gateway(fitted, *, backend=None, tenants=None):
     clock = ManualClock()
     metrics = MetricsRegistry()
-    scheduler = BatchScheduler(slo_ms=50.0, max_batch=16, clock=clock, metrics=metrics)
+    scheduler = BatchScheduler(slo_ms=50.0, clock=clock, metrics=metrics)
     engine = InferenceEngine(
         fitted, max_batch_size=16, scheduler=scheduler, backend=backend,
         metrics=metrics,
@@ -129,7 +129,7 @@ class TestInProcessUnchanged:
         x, _, _ = toy_data
         clock = ManualClock()
         scheduler = BatchScheduler(
-            slo_ms=50.0, max_batch=16, clock=clock, metrics=MetricsRegistry()
+            slo_ms=50.0, clock=clock, metrics=MetricsRegistry()
         )
         engine = InferenceEngine(
             fitted, max_batch_size=16, scheduler=scheduler, metrics=MetricsRegistry()

@@ -151,6 +151,18 @@ class TestCliWorkflow:
             # Any delivery under a scheduler records its queue latency.
             assert stats["queue_p95_ms"] is not None
 
+        # Auto hedging needs no SLO: every engine owns a scheduler.
+        code = main([
+            "serve", "--model-dir", model_dir, "--streams", "4", "--seed", "2",
+            "--hedge-ms", "auto",
+        ])
+        out = capsys.readouterr().out
+        assert code in (0, 1)
+        assert '"slo_ms": null' in out
+        stats = json.loads(out[: out.index("}") + 1])
+        assert stats["classification_errors"] == 0
+        assert stats["batch_limit"] == 32
+
     def test_session_rejects_too_few_samples(self, tmp_path, capsys):
         data_path = str(tmp_path / "data.npz")
         model_dir = str(tmp_path / "model")
